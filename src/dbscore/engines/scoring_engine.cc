@@ -160,19 +160,23 @@ ScoringEngine::TryScore(const RowView& view)
     return outcome;
 }
 
-std::vector<fault::FaultSite>
+std::span<const fault::FaultSite>
 OffloadFaultSites(BackendKind kind)
 {
     using fault::FaultSite;
+    static constexpr FaultSite kGpu[] = {
+        FaultSite::kPcieDma, FaultSite::kGpuKernelLaunch,
+        FaultSite::kPcieDma};
+    static constexpr FaultSite kFpga[] = {
+        FaultSite::kPcieDma, FaultSite::kFpgaSetup,
+        FaultSite::kFpgaCompletion, FaultSite::kPcieDma};
     switch (BackendDeviceClass(kind)) {
       case DeviceClass::kCpu:
         return {};
       case DeviceClass::kGpu:
-        return {FaultSite::kPcieDma, FaultSite::kGpuKernelLaunch,
-                FaultSite::kPcieDma};
+        return kGpu;
       case DeviceClass::kFpga:
-        return {FaultSite::kPcieDma, FaultSite::kFpgaSetup,
-                FaultSite::kFpgaCompletion, FaultSite::kPcieDma};
+        return kFpga;
     }
     return {};
 }

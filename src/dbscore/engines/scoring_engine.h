@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,7 +136,7 @@ struct ScoreOutcome {
  * Used by timing-only dispatch paths that must consume the same fault
  * stream as a functional Score would.
  */
-std::vector<fault::FaultSite> OffloadFaultSites(BackendKind kind);
+std::span<const fault::FaultSite> OffloadFaultSites(BackendKind kind);
 
 /** Abstract scoring engine. */
 class ScoringEngine {

@@ -16,9 +16,10 @@
  *  - **Weighted fair queueing** orders the central backlog so gold
  *    outruns bronze under overload without starving it.
  *  - **Placement** picks the earliest-finishing device lane from each
- *    model's per-backend estimates, skipping open breakers; faulted
- *    dispatches retry with backoff and degrade to CPU, exactly the
- *    serve-layer discipline.
+ *    model's per-backend estimates, skipping open breakers. Dispatch
+ *    itself — retry with backoff, breaker transitions, CPU
+ *    degradation — runs in the serve::DispatchCore that ScoringService
+ *    uses too.
  *  - **Autoscaling** grows and shrinks each device's modeled lane
  *    pool from queue-depth and deadline-miss signals.
  *
@@ -54,6 +55,7 @@
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
 #include "dbscore/fleet/wfq.h"
+#include "dbscore/serve/dispatch_core.h"
 #include "dbscore/serve/request.h"
 #include "dbscore/serve/scoring_service.h"
 
@@ -220,43 +222,28 @@ class FleetService {
     struct DeviceWork {
         PendingPtr pending;
         WarmModelPtr model;
-        BackendKind kind = BackendKind::kCpuSklearn;
         /** Earliest modeled dispatch (arrival + any registry build). */
         SimTime ready;
         bool registry_miss = false;
         /**
-         * Lane reserved and modeled start/first-attempt costs computed
-         * by the scheduler at dispatch time. Charging the lane horizon
+         * Device, lane, modeled start and first-attempt costs fixed by
+         * the scheduler at dispatch time. Charging the lane horizon
          * up front keeps modeled placement (and thus latencies)
          * independent of how fast real worker threads drain queues;
-         * workers only top the lane up when faults stretch the actual
-         * finish past the reservation.
+         * the core only tops the lane up when faults stretch the
+         * actual finish past the reservation.
          */
-        std::size_t lane = 0;
-        SimTime start;
-        InvocationCost invocation;
-        SimTime model_pre;
-        SimTime transfer_to;
-        SimTime transfer_from;
-        SimTime data_pre;
-        OffloadBreakdown scoring;
+        serve::DispatchTicket ticket;
     };
 
-    /** One simulated device: queue, modeled lanes, breaker. */
-    struct Device {
+    /**
+     * The fleet's side of one device, guarded by the core device's
+     * mutex: its work queue, dispatch window and autoscaler samples.
+     */
+    struct DeviceQueue {
         std::deque<DeviceWork> queue;
-        std::mutex mutex;
-        std::condition_variable cv;
-        /** Modeled service horizons, one per lane. */
-        std::vector<SimTime> lanes;
-        std::unique_ptr<ExternalScriptRuntime> runtime;
-        bool stop = false;
         /** In-flight dispatches (popped, not yet settled). */
         std::size_t inflight = 0;
-        serve::BreakerState breaker = serve::BreakerState::kClosed;
-        std::size_t consecutive_failures = 0;
-        SimTime breaker_open_until;
-        std::uint64_t attempt_seq = 0;
         /** Autoscaler sampling window. */
         std::size_t window_completions = 0;
         std::size_t window_deadline_misses = 0;
@@ -264,21 +251,21 @@ class FleetService {
     };
 
     void SchedulerLoop();
-    void WorkerLoop(int device_index);
-    void ExecuteOne(Device& device, DeviceClass device_class,
-                    DeviceWork work);
+    void WorkerLoop(std::size_t device);
+    void ExecuteOne(DeviceWork work);
     void MaybeAutoscale(SimTime now, std::size_t central_backlog);
-    SimTime NextBackoff(Device& device, int device_index, std::size_t retry);
-    void BreakerOnFault(Device& device, DeviceClass device_class, SimTime now,
-                        const trace::SpanContext& parent);
-    void BreakerOnSuccess(Device& device, DeviceClass device_class,
-                          SimTime now, const trace::SpanContext& parent);
-    /** Earliest-free lane's horizon. Caller holds device.mutex. */
-    static SimTime MinLaneLocked(const Device& device);
-    void SettleOne();
+    /** Whether @p device's dispatch window has room. Caller holds its mutex. */
+    bool HasRoomLocked(std::size_t device);
+    /**
+     * Settles @p p with its terminal @p reply: class stats, the
+     * request span, the promise, and the count Drain() waits on.
+     */
+    void Finish(Pending& p, FleetReply reply);
 
     HardwareProfile profile_;
     FleetConfig config_;
+    /** Device lanes, breakers and the fault-attempt loop. */
+    serve::DispatchCore core_;
     std::uint32_t trace_domain_;
     ModelRegistry registry_;
     FleetStats stats_;
@@ -308,7 +295,7 @@ class FleetService {
     std::condition_variable settle_cv_;
     std::size_t settled_ = 0;
 
-    std::array<Device, 3> devices_;
+    std::array<DeviceQueue, serve::DispatchCore::kNumDevices> queues_;
     std::unique_ptr<ThreadPool> threads_;
 };
 

@@ -6,23 +6,9 @@
 
 namespace dbscore::fleet {
 
-namespace {
+using serve::Summarize;
 
-serve::DistSummary
-Summarize(const RunningStats& stats, const QuantileSketch& sketch)
-{
-    serve::DistSummary s;
-    s.count = stats.count();
-    if (s.count == 0) {
-        return s;
-    }
-    s.mean = stats.mean();
-    s.max = stats.max();
-    s.p50 = sketch.Quantile(0.50);
-    s.p95 = sketch.Quantile(0.95);
-    s.p99 = sketch.Quantile(0.99);
-    return s;
-}
+namespace {
 
 int
 Idx(SloClass cls)
@@ -68,17 +54,6 @@ FleetSnapshot::Completed() const
     std::size_t n = 0;
     for (const ClassSnapshot& c : classes) {
         n += c.completed;
-    }
-    return n;
-}
-
-std::size_t
-FleetSnapshot::Settled() const
-{
-    std::size_t n = 0;
-    for (const ClassSnapshot& c : classes) {
-        n += c.completed + c.rejected_quota + c.rejected_capacity +
-             c.expired + c.failed;
     }
     return n;
 }
@@ -142,23 +117,11 @@ FleetSnapshot::ToString() const
     static const char* kDeviceNames[3] = {"CPU", "GPU", "FPGA"};
     for (int d = 0; d < 3; ++d) {
         const FleetDeviceSnapshot& dev = devices[d];
-        if (dev.dispatches == 0 && dev.faults == 0) {
-            continue;
+        if (dev.dispatches + dev.faults > 0) {
+            os << StrFormat("%-7s:  %zu lanes (+%zu/-%zu), ", kDeviceNames[d],
+                            dev.lanes, dev.scale_ups, dev.scale_downs)
+               << dev.ToString() << "\n";
         }
-        os << StrFormat(
-            "%-7s:  %zu dispatches, %zu requests, %zu rows, %zu lanes "
-            "(+%zu/-%zu), busy ",
-            kDeviceNames[d], dev.dispatches, dev.requests, dev.rows,
-            dev.lanes, dev.scale_ups, dev.scale_downs)
-           << dev.busy;
-        if (dev.faults + dev.fallbacks + dev.breaker_opens > 0) {
-            os << StrFormat(
-                ", %zu faults, %zu retries, %zu fallbacks, "
-                "%zu breaker opens, breaker %s",
-                dev.faults, dev.retries, dev.fallbacks, dev.breaker_opens,
-                serve::BreakerStateName(dev.breaker));
-        }
-        os << "\n";
     }
     os << StrFormat("goodput:  %.1f within-deadline req/s over makespan ",
                     GoodputRps())
@@ -242,76 +205,15 @@ FleetStats::RecordCompleted(SloClass cls, SimTime arrival, SimTime finish,
 }
 
 void
-FleetStats::RecordDispatch(DeviceClass device, std::size_t num_requests,
-                           std::size_t num_rows, SimTime busy)
+FleetStats::RecordScale(DeviceClass device, int delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     FleetDeviceSnapshot& dev = totals_.devices[Idx(device)];
-    ++dev.dispatches;
-    dev.requests += num_requests;
-    dev.rows += num_rows;
-    dev.busy = dev.busy + busy;
-}
-
-void
-FleetStats::RecordFault(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].faults;
-}
-
-void
-FleetStats::RecordRetry(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].retries;
-}
-
-void
-FleetStats::RecordFallback(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].fallbacks;
-}
-
-void
-FleetStats::RecordBreakerOpen(DeviceClass device)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.devices[Idx(device)].breaker_opens;
-}
-
-void
-FleetStats::SetBreakerState(DeviceClass device, serve::BreakerState state)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    totals_.devices[Idx(device)].breaker = state;
-}
-
-void
-FleetStats::SetLanes(DeviceClass device, std::size_t lanes, int delta)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    FleetDeviceSnapshot& dev = totals_.devices[Idx(device)];
-    dev.lanes = lanes;
     if (delta > 0) {
         ++dev.scale_ups;
     } else if (delta < 0) {
         ++dev.scale_downs;
     }
-}
-
-std::size_t
-FleetStats::Settled() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const ClassAccum& accum : classes_) {
-        const ClassSnapshot& c = accum.totals;
-        n += c.completed + c.rejected_quota + c.rejected_capacity +
-             c.expired + c.failed;
-    }
-    return n;
 }
 
 FleetSnapshot
@@ -332,12 +234,6 @@ FleetStats::Reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     FleetSnapshot fresh;
-    // Preserve current device facts (breaker, lanes) — they describe
-    // the present, not accumulated history.
-    for (int d = 0; d < 3; ++d) {
-        fresh.devices[d].breaker = totals_.devices[d].breaker;
-        fresh.devices[d].lanes = totals_.devices[d].lanes;
-    }
     fresh.tenants = totals_.tenants;
     fresh.models = totals_.models;
     totals_ = fresh;

@@ -48,21 +48,12 @@ struct ClassSnapshot {
     std::size_t Goodput() const;
 };
 
-/** One device's fleet-side dispatch accounting. */
-struct FleetDeviceSnapshot {
-    std::size_t dispatches = 0;
-    std::size_t requests = 0;
-    std::size_t rows = 0;
-    /** Modeled busy time summed across lanes. */
-    SimTime busy;
-    std::size_t faults = 0;
-    std::size_t retries = 0;
-    /** Dispatches re-routed to CPU (breaker or final-retry fallback). */
-    std::size_t fallbacks = 0;
-    std::size_t breaker_opens = 0;
-    serve::BreakerState breaker = serve::BreakerState::kClosed;
-    /** Current modeled lane count and autoscale activity. */
-    std::size_t lanes = 0;
+/**
+ * One device's dispatch accounting: the serve::DispatchCore's counters
+ * (dispatches, faults, retries, fallbacks, breaker, lanes) plus the
+ * autoscaler's activity.
+ */
+struct FleetDeviceSnapshot : serve::DispatchCounters {
     std::size_t scale_ups = 0;
     std::size_t scale_downs = 0;
 };
@@ -83,7 +74,6 @@ struct FleetSnapshot {
 
     std::size_t Submitted() const;
     std::size_t Completed() const;
-    std::size_t Settled() const;
     /** Completed-within-deadline per modeled second over the makespan. */
     double GoodputRps() const;
     SimTime Makespan() const;
@@ -104,24 +94,12 @@ class FleetStats {
     void RecordCompleted(SloClass cls, SimTime arrival, SimTime finish,
                          bool degraded, bool deadline_miss);
 
-    void RecordDispatch(DeviceClass device, std::size_t num_requests,
-                        std::size_t num_rows, SimTime busy);
-    void RecordFault(DeviceClass device);
-    void RecordRetry(DeviceClass device);
-    void RecordFallback(DeviceClass device);
-    void RecordBreakerOpen(DeviceClass device);
-    void SetBreakerState(DeviceClass device, serve::BreakerState state);
-    void SetLanes(DeviceClass device, std::size_t lanes, int delta);
-
-    /** Requests in a terminal state (completed+rejected+expired+failed). */
-    std::size_t Settled() const;
+    /** One autoscaler decision that changed @p device's lane count. */
+    void RecordScale(DeviceClass device, int delta);
 
     FleetSnapshot Snapshot() const;
 
-    /**
-     * Zeroes every counter and distribution; breaker states and lane
-     * counts (current device facts, not history) survive.
-     */
+    /** Zeroes every counter and distribution. */
     void Reset();
 
  private:

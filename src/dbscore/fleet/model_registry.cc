@@ -14,18 +14,10 @@ using trace::TraceCollector;
 WarmModel::WarmModel(const HardwareProfile& profile, std::string model_id,
                      const TreeEnsemble& ensemble, const ModelStats& stats,
                      SimTime modeled_build_cost)
-    : id(std::move(model_id)),
-      forest(ensemble.ToForest()),
-      scheduler(profile, ensemble, stats),
-      num_cols(stats.num_features),
-      model_bytes(stats.serialized_bytes),
+    : serve::ServedModel(profile, ensemble, stats),
+      id(std::move(model_id)),
       build_cost(modeled_build_cost)
 {
-    // Prewarm the kernel cache so every dispatch through this resident
-    // model scores via the same compiled plan (the serve-layer idiom).
-    if (ForestKernel::Supports(forest)) {
-        build_wall_ms = forest.Kernel()->build_wall_ms();
-    }
 }
 
 ModelRegistry::ModelRegistry(const HardwareProfile& profile,
@@ -49,22 +41,7 @@ ModelRegistry::RegisterModel(const std::string& id, const TreeEnsemble& model,
     spec.ensemble = std::make_shared<const TreeEnsemble>(model);
     spec.stats = stats;
     specs_.emplace(id, std::move(spec));
-    spec_order_.push_back(id);
     counters_.registered_specs = specs_.size();
-}
-
-bool
-ModelRegistry::HasModel(const std::string& id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return specs_.count(id) != 0;
-}
-
-std::vector<std::string>
-ModelRegistry::ModelIds() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return spec_order_;
 }
 
 AcquireResult

@@ -37,6 +37,7 @@
 #include "dbscore/dbms/external_runtime.h"
 #include "dbscore/forest/forest.h"
 #include "dbscore/forest/model_stats.h"
+#include "dbscore/serve/dispatch_core.h"
 #include "dbscore/trace/trace.h"
 
 namespace dbscore::fleet {
@@ -59,18 +60,10 @@ struct RegistryConfig {
 };
 
 /** A built, scoring-ready model: the registry's unit of residency. */
-struct WarmModel {
+struct WarmModel : serve::ServedModel {
     std::string id;
-    /** Functional model; its ForestKernel is compiled at build time. */
-    RandomForest forest;
-    /** One loaded engine per viable backend, for placement estimates. */
-    OffloadScheduler scheduler;
-    std::size_t num_cols = 0;
-    std::uint64_t model_bytes = 0;
     /** Modeled cost this build charged (the re-warm tax). */
     SimTime build_cost;
-    /** Wall-clock kernel-compile cost of this build, milliseconds. */
-    double build_wall_ms = 0.0;
 
     WarmModel(const HardwareProfile& profile, std::string model_id,
               const TreeEnsemble& ensemble, const ModelStats& stats,
@@ -130,11 +123,6 @@ class ModelRegistry {
     void RegisterModel(const std::string& id, const TreeEnsemble& model,
                        const ModelStats& stats);
 
-    bool HasModel(const std::string& id) const;
-
-    /** Registered model ids, registration order. */
-    std::vector<std::string> ModelIds() const;
-
     /**
      * Returns the warm model for @p id, building it on a miss (and
      * evicting LRU residents past the budget). Emits kRegistryHit /
@@ -173,7 +161,6 @@ class ModelRegistry {
     mutable std::mutex mutex_;
     std::condition_variable build_cv_;
     std::map<std::string, Spec> specs_;
-    std::vector<std::string> spec_order_;
     /** MRU front, LRU back; every entry is resident. */
     std::list<std::string> lru_;
     struct Resident {

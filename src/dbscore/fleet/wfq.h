@@ -69,21 +69,13 @@ class WeightedFairQueue {
     std::optional<T>
     Pop()
     {
-        int best = -1;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            if (queues_[c].empty()) {
-                continue;
-            }
-            if (best < 0 ||
-                queues_[c].front().finish < queues_[best].front().finish) {
-                best = c;
-            }
-        }
-        if (best < 0) {
+        const std::optional<SloClass> cls = PeekClass();
+        if (!cls.has_value()) {
             return std::nullopt;
         }
-        Entry entry = std::move(queues_[best].front());
-        queues_[best].pop_front();
+        std::deque<Entry>& q = queues_[Index(*cls)];
+        Entry entry = std::move(q.front());
+        q.pop_front();
         --size_;
         virtual_time_ = entry.finish;
         return std::move(entry.item);
@@ -111,12 +103,6 @@ class WeightedFairQueue {
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-
-    std::size_t
-    ClassDepth(SloClass cls) const
-    {
-        return queues_[Index(cls)].size();
-    }
 
  private:
     struct Entry {

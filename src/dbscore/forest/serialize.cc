@@ -1,5 +1,6 @@
 #include "dbscore/forest/serialize.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "dbscore/common/error.h"
@@ -224,6 +225,14 @@ DeserializeForest(std::span<const std::uint8_t> bytes)
             std::int32_t right = r.GetI32();
             float value = r.GetF32();
             if (feature == kLeafFeature) {
+                // A classification leaf votes for a class id; the
+                // kernels index per-class tallies with it.
+                if (task == Task::kClassification &&
+                    !(value >= 0.0f &&
+                      value < static_cast<float>(num_classes) &&
+                      std::trunc(value) == value)) {
+                    throw ParseError("forest blob: bad leaf class id");
+                }
                 tree.AddLeafNode(value);
             } else {
                 if (feature < 0) {

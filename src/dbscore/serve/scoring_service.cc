@@ -1,14 +1,11 @@
 #include "dbscore/serve/scoring_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <utility>
 
 #include "dbscore/common/error.h"
-#include "dbscore/common/rng.h"
 #include "dbscore/engines/scoring_engine.h"
-#include "dbscore/fault/fault.h"
 #include "dbscore/forest/forest_kernel.h"
 #include "dbscore/trace/exporters.h"
 #include "dbscore/trace/trace.h"
@@ -17,21 +14,6 @@ namespace dbscore::serve {
 
 using trace::StageKind;
 using trace::TraceCollector;
-
-ScoringService::ModelEntry::ModelEntry(const HardwareProfile& profile,
-                                       const TreeEnsemble& model,
-                                       const ModelStats& stats)
-    : scheduler(profile, model, stats),
-      forest(model.ToForest()),
-      num_cols(stats.num_features),
-      model_bytes(stats.serialized_bytes)
-{
-    // Prewarm the per-model kernel cache so the first coalesced batch
-    // never pays (or races on) compilation.
-    if (ForestKernel::Supports(forest)) {
-        forest.Kernel();
-    }
-}
 
 namespace {
 
@@ -50,41 +32,13 @@ ScaleBreakdown(const OffloadBreakdown& b, double k)
     return s;
 }
 
-/**
- * Modeled engine time a faulted offload attempt consumed: every
- * breakdown component completed before the site that failed.
- * @p site_index is the position in OffloadFaultSites(kind) — FPGA
- * crosses {DMA-in, setup, completion, DMA-out}, GPU crosses
- * {DMA-in, launch, DMA-out}.
- */
-SimTime
-FaultedOffloadCost(const OffloadBreakdown& b, DeviceClass device_class,
-                   std::size_t site_index)
-{
-    SimTime t = b.preprocessing + b.input_transfer;
-    if (site_index == 0) {
-        return t;  // the inbound DMA itself failed
-    }
-    t += b.setup;
-    if (site_index == 1) {
-        return t;  // setup / kernel launch failed
-    }
-    if (device_class == DeviceClass::kFpga) {
-        t += b.compute + b.completion_signal;
-        if (site_index == 2) {
-            return t;  // completion interrupt lost after a full run
-        }
-    } else {
-        t += b.compute + b.completion_signal;
-    }
-    return t + b.result_transfer;  // the outbound DMA failed
-}
-
 }  // namespace
 
 ScoringService::ScoringService(const HardwareProfile& profile,
                                ServiceConfig config)
     : profile_(profile), config_(std::move(config)),
+      core_(config_.retry, config_.breaker, config_.cpu_fallback,
+            config_.runtime_params, /*lanes=*/1),
       trace_domain_(TraceCollector::Get().NewDomain())
 {
     if (config_.admission_capacity == 0) {
@@ -93,10 +47,6 @@ ScoringService::ScoringService(const HardwareProfile& profile,
     // Validate the coalescer config eagerly (the dispatcher constructs
     // its own instance later).
     BatchCoalescer validate(config_.coalescer);
-    for (Device& d : devices_) {
-        d.runtime =
-            std::make_unique<ExternalScriptRuntime>(config_.runtime_params);
-    }
 }
 
 ScoringService::~ScoringService()
@@ -117,7 +67,7 @@ ScoringService::RegisterModel(const std::string& id,
         throw InvalidArgument("service: duplicate model id: " + id);
     }
     models_.emplace(id,
-                    std::make_unique<ModelEntry>(profile_, model, stats));
+                    std::make_unique<ServedModel>(profile_, model, stats));
 }
 
 std::vector<BackendKind>
@@ -147,7 +97,7 @@ ScoringService::Start()
     running_ = true;
     threads_ = std::make_unique<ThreadPool>(4);
     threads_->Submit([this] { DispatcherLoop(); });
-    for (int d = 0; d < 3; ++d) {
+    for (std::size_t d = 0; d < DispatchCore::kNumDevices; ++d) {
         threads_->Submit([this, d] { WorkerLoop(d); });
     }
 }
@@ -186,13 +136,7 @@ ScoringService::Stop()
             settled_cv_.wait(lock, [this] { return dispatcher_done_; });
         }
         // 2. Workers drain their batch queues and exit.
-        for (Device& d : devices_) {
-            {
-                std::lock_guard<std::mutex> lock(d.mutex);
-                d.stop = true;
-            }
-            d.cv.notify_all();
-        }
+        core_.StopWorkers();
         threads_->Shutdown();
     }
 
@@ -294,6 +238,17 @@ ServiceSnapshot
 ScoringService::Stats() const
 {
     ServiceSnapshot snap = stats_.Snapshot();
+    // Dispatch and fault accounting lives with the devices, in the core.
+    for (std::size_t d = 0; d < DispatchCore::kNumDevices; ++d) {
+        const DispatchCounters& c = snap.device[d] = core_.Counters(d);
+        snap.batches += c.dispatches;
+        snap.fault_attempts += c.faults;
+        snap.retries += c.retries;
+        snap.fallback_batches += c.fallbacks;
+        snap.breaker_opens += c.breaker_opens;
+        snap.fault_wasted += c.fault_wasted;
+        snap.retry_backoff += c.retry_backoff;
+    }
     // Stage attribution comes from the trace subsystem: sum the
     // simulated durations of this service's per-request stage spans.
     auto totals = TraceCollector::Get().StageSimTotals(trace_domain_);
@@ -332,6 +287,7 @@ ScoringService::ResetStats()
             TraceCollector::Get().StageSimTotals(trace_domain_);
     }
     stats_.Reset();
+    core_.ResetCounters();
 }
 
 void
@@ -424,15 +380,15 @@ ScoringService::PlaceAndEnqueue(Batch batch)
 {
     TraceCollector& tracer = TraceCollector::Get();
     const double place_start_us = tracer.NowWallMicros();
-    const ModelEntry& entry = *models_.at(batch.model_id);
+    const ServedModel& entry = *models_.at(batch.model_id);
     const std::size_t rows = batch.total_rows;
-    std::optional<BackendEstimate> per_class[3] = {
+    std::optional<BackendEstimate> per_class[DispatchCore::kNumDevices] = {
         BestOfClass(entry.scheduler, DeviceClass::kCpu, rows),
         BestOfClass(entry.scheduler, DeviceClass::kGpu, rows),
         BestOfClass(entry.scheduler, DeviceClass::kFpga, rows),
     };
 
-    int chosen = 0;
+    std::size_t chosen = 0;
     switch (config_.policy) {
       case WorkloadPolicy::kAlwaysCpu:
         chosen = 0;
@@ -442,7 +398,7 @@ ScoringService::PlaceAndEnqueue(Batch batch)
         break;
       case WorkloadPolicy::kServiceOptimal: {
         double best = 1e30;
-        for (int d = 0; d < 3; ++d) {
+        for (std::size_t d = 0; d < DispatchCore::kNumDevices; ++d) {
             if (per_class[d] && per_class[d]->Total().seconds() < best) {
                 best = per_class[d]->Total().seconds();
                 chosen = d;
@@ -452,15 +408,11 @@ ScoringService::PlaceAndEnqueue(Batch batch)
       }
       case WorkloadPolicy::kQueueAware: {
         double best = 1e30;
-        for (int d = 0; d < 3; ++d) {
+        for (std::size_t d = 0; d < DispatchCore::kNumDevices; ++d) {
             if (!per_class[d]) {
                 continue;
             }
-            SimTime free_at;
-            {
-                std::lock_guard<std::mutex> lock(devices_[d].mutex);
-                free_at = devices_[d].free_at;
-            }
+            const SimTime free_at = core_.EarliestLane(d).second;
             double wait = std::max(
                 0.0, (free_at - batch.ready).seconds());
             double finish = wait + per_class[d]->Total().seconds();
@@ -477,49 +429,19 @@ ScoringService::PlaceAndEnqueue(Batch batch)
     }
     DBS_ASSERT(per_class[chosen].has_value());
 
-    // Circuit breaker: an open accelerator queue re-routes its batches
-    // to the CPU engine (flagged degraded) until the cooldown elapses;
-    // the first batch ready at/after open_until instead transitions the
-    // breaker to half-open and goes through as the probe. The CPU queue
-    // has no reroute target, so its breaker never redirects placement.
-    if (chosen != 0 && config_.cpu_fallback) {
-        Device& accel = devices_[chosen];
-        bool reroute = false;
-        bool probe = false;
-        {
-            std::lock_guard<std::mutex> lock(accel.mutex);
-            if (accel.breaker == BreakerState::kOpen) {
-                if (batch.ready < accel.breaker_open_until) {
-                    reroute = true;
-                } else {
-                    accel.breaker = BreakerState::kHalfOpen;
-                    probe = true;
-                }
-            }
-        }
-        const auto accel_class = static_cast<DeviceClass>(chosen);
-        if (probe) {
-            stats_.SetBreakerState(accel_class, BreakerState::kHalfOpen);
-            if (!batch.members.empty()) {
-                tracer.EmitSim(
-                    StageKind::kBreaker, "breaker-half-open",
-                    batch.members.front().trace, batch.ready, SimTime(),
-                    {{"device", static_cast<double>(chosen)},
-                     {"state",
-                      static_cast<double>(BreakerState::kHalfOpen)}});
-            }
-        }
-        if (reroute) {
+    // Circuit breaker: an open accelerator re-routes its batches to the
+    // CPU engine (flagged degraded) until the cooldown elapses; the
+    // first batch ready at/after it instead goes through as the
+    // half-open probe.
+    if (chosen != 0 && config_.cpu_fallback && !batch.members.empty()) {
+        const trace::SpanContext& lead = batch.members.front().trace;
+        if (core_.Blocked(chosen, batch.ready)) {
             batch.degraded = true;
-            stats_.RecordFallback();
-            if (!batch.members.empty()) {
-                tracer.EmitSim(StageKind::kFallback, "breaker-reroute",
-                               batch.members.front().trace, batch.ready,
-                               SimTime(),
-                               {{"from", static_cast<double>(chosen)}});
-            }
+            core_.NoteReroute(chosen, batch.ready, lead);
             chosen = 0;
             DBS_ASSERT(per_class[chosen].has_value());
+        } else {
+            core_.AdmitProbe(chosen, batch.ready, lead);
         }
     }
 
@@ -536,34 +458,36 @@ ScoringService::PlaceAndEnqueue(Batch batch)
                          {"device", static_cast<double>(chosen)}});
     }
 
-    Device& device = devices_[chosen];
+    DispatchCore::Device& device = core_.device(chosen);
     {
         std::lock_guard<std::mutex> lock(device.mutex);
-        device.queue.emplace_back(std::move(batch),
-                                  per_class[chosen]->kind);
+        queues_[chosen].emplace_back(std::move(batch),
+                                     per_class[chosen]->kind);
     }
     device.cv.notify_one();
 }
 
 void
-ScoringService::WorkerLoop(int device_index)
+ScoringService::WorkerLoop(std::size_t d)
 {
-    Device& device = devices_[device_index];
-    const auto device_class = static_cast<DeviceClass>(device_index);
+    DispatchCore::Device& device = core_.device(d);
+    std::deque<QueuedBatch>& queue = queues_[d];
+    // Reused across batches: steady-state dispatch allocates no list.
+    std::vector<DispatchMember> members;
     for (;;) {
-        std::pair<Batch, BackendKind> work;
+        QueuedBatch work;
         {
             std::unique_lock<std::mutex> lock(device.mutex);
-            device.cv.wait(lock, [&device] {
-                return device.stop || !device.queue.empty();
+            device.cv.wait(lock, [&] {
+                return device.stop || !queue.empty();
             });
-            if (device.queue.empty()) {
+            if (queue.empty()) {
                 return;  // stop requested and fully drained
             }
-            work = std::move(device.queue.front());
-            device.queue.pop_front();
+            work = std::move(queue.front());
+            queue.pop_front();
         }
-        ExecuteBatch(device, device_class, work.first, work.second);
+        ExecuteBatch(d, work.first, work.second, members);
     }
 }
 
@@ -591,390 +515,140 @@ ScoringService::EmitRequestSpan(const PendingRequest& request,
     tracer.Emit(record);
 }
 
-SimTime
-ScoringService::NextBackoff(Device& device, int device_index,
-                            std::size_t retry_index)
-{
-    const RetryPolicy& policy = config_.retry;
-    DBS_ASSERT(retry_index >= 1);
-    double backoff_s =
-        policy.initial_backoff.seconds() *
-        std::pow(policy.backoff_multiplier,
-                 static_cast<double>(retry_index - 1));
-    backoff_s = std::min(backoff_s, policy.max_backoff.seconds());
-    std::uint64_t seq;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        seq = device.attempt_seq++;
-    }
-    if (policy.jitter_frac > 0.0 && backoff_s > 0.0) {
-        // One draw from a stream keyed by (seed, device, sequence):
-        // a replayed run re-draws identical jitter. The SplitMix64
-        // seeding inside Rng decorrelates the nearby keys.
-        Rng jitter(policy.jitter_seed ^
-                   (0x9e3779b97f4a7c15ULL *
-                    (static_cast<std::uint64_t>(device_index) + 1)) ^
-                   (0xbf58476d1ce4e5b9ULL * (seq + 1)));
-        backoff_s += backoff_s * policy.jitter_frac * jitter.NextDouble();
-    }
-    return SimTime::Seconds(backoff_s);
-}
-
 void
-ScoringService::BreakerOnFault(Device& device, DeviceClass device_class,
-                               SimTime now,
-                               const trace::SpanContext& parent)
-{
-    BreakerState before;
-    BreakerState after;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        before = device.breaker;
-        ++device.consecutive_failures;
-        if (device.breaker == BreakerState::kHalfOpen) {
-            // Failed probe: straight back to open for another cooldown.
-            device.breaker = BreakerState::kOpen;
-            device.breaker_open_until = now + config_.breaker.open_cooldown;
-        } else if (device.breaker == BreakerState::kClosed &&
-                   device.consecutive_failures >=
-                       config_.breaker.failure_threshold) {
-            device.breaker = BreakerState::kOpen;
-            device.breaker_open_until = now + config_.breaker.open_cooldown;
-        }
-        after = device.breaker;
-    }
-    if (after == before) {
-        return;
-    }
-    stats_.SetBreakerState(device_class, after);
-    stats_.RecordBreakerOpen();
-    TraceCollector::Get().EmitSim(
-        StageKind::kBreaker, "breaker-open", parent, now, SimTime(),
-        {{"device", static_cast<double>(device_class)},
-         {"state", static_cast<double>(after)}});
-}
-
-void
-ScoringService::BreakerOnSuccess(Device& device, DeviceClass device_class,
-                                 SimTime now,
-                                 const trace::SpanContext& parent)
-{
-    BreakerState before;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        before = device.breaker;
-        device.consecutive_failures = 0;
-        device.breaker = BreakerState::kClosed;
-    }
-    if (before == BreakerState::kClosed) {
-        return;
-    }
-    stats_.SetBreakerState(device_class, BreakerState::kClosed);
-    TraceCollector::Get().EmitSim(
-        StageKind::kBreaker, "breaker-close", parent, now, SimTime(),
-        {{"device", static_cast<double>(device_class)},
-         {"state", static_cast<double>(BreakerState::kClosed)}});
-}
-
-void
-ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
-                             Batch& batch, BackendKind kind)
+ScoringService::ExecuteBatch(std::size_t d, Batch& batch, BackendKind kind,
+                             std::vector<DispatchMember>& members)
 {
     TraceCollector& tracer = TraceCollector::Get();
-    const ModelEntry& entry = *models_.at(batch.model_id);
-    SimTime start;
-    {
-        std::lock_guard<std::mutex> lock(device.mutex);
-        start = Max(batch.ready, device.free_at);
-    }
+    const ServedModel& entry = *models_.at(batch.model_id);
+    const auto [lane, free_at] = core_.EarliestLane(d);
+    const SimTime start = Max(batch.ready, free_at);
 
     // Deadline admission at dispatch: members whose modeled start
     // already overruns their deadline expire instead of scoring (and
-    // shrink the dispatched batch).
-    std::vector<PendingRequest> live;
-    live.reserve(batch.members.size());
+    // shrink the dispatched batch). They enter the core already failed,
+    // with no attempt, so it skips them.
+    members.clear();
     std::size_t rows = 0;
-    for (PendingRequest& m : batch.members) {
-        const SimTime arrival = *m.request.arrival;
-        if (m.request.deadline.has_value() &&
-            start > arrival + *m.request.deadline) {
-            ScoreReply reply;
-            reply.status = RequestStatus::kExpired;
-            reply.finish = start;
-            reply.timing.latency = start - arrival;
-            reply.error = "deadline expired before dispatch";
-            stats_.RecordExpired(arrival, start);
-            EmitRequestSpan(m, arrival, start, /*expired=*/true);
-            m.handle->Fulfill(std::move(reply));
-            SettleOne(start);
-            continue;
+    for (const PendingRequest& m : batch.members) {
+        std::optional<SimTime> deadline_at;
+        if (m.request.deadline.has_value()) {
+            deadline_at = *m.request.arrival + *m.request.deadline;
         }
-        rows += m.request.num_rows;
-        live.push_back(std::move(m));
-    }
-    if (live.empty()) {
-        return;  // nothing dispatched; the device stays free
+        DispatchMember& dm =
+            members.emplace_back(m.request.num_rows, deadline_at, m.trace);
+        if (deadline_at.has_value() && start > *deadline_at) {
+            dm.failed = true;
+            dm.failed_at = start;
+            dm.error = "deadline expired before dispatch";
+        } else {
+            rows += m.request.num_rows;
+        }
     }
 
     // Batch cost: one external-process invocation + one DBMS<->process
     // round trip + one engine dispatch for the whole coalesced batch —
-    // the amortization the paper's per-query pipeline forgoes. Under an
-    // installed FaultPlan any attempt can fail (process crash, DMA,
-    // setup/launch, completion); faulted attempts retry with capped
-    // exponential backoff on the same device, then degrade to the CPU
-    // engine, and only fail requests once every permitted attempt is
-    // spent or a member's deadline forbids the next dispatch.
-    fault::FaultInjector& injector = fault::FaultInjector::Get();
-    const std::uint64_t bytes_in =
-        static_cast<std::uint64_t>(rows) * entry.num_cols * sizeof(float);
-    const std::uint64_t bytes_out =
-        static_cast<std::uint64_t>(rows) * sizeof(float);
-
-    // Attempt-loop cursor state. `now` is the modeled dispatch time of
-    // the current attempt: faulted attempts advance it by the partial
-    // stage costs they consumed, retries by their backoff, a CPU
-    // fallback by the CPU queue's horizon.
-    Device* exec_device = &device;
-    DeviceClass exec_class = device_class;
-    BackendKind exec_kind = kind;
-    bool degraded = batch.degraded;
-    SimTime now = start;
-    std::size_t total_attempts = 0;
-    std::size_t device_attempts = 0;
-    bool success = false;
-
-    InvocationCost invocation;
-    SimTime model_pre;
-    SimTime transfer_to;
-    SimTime transfer_from;
-    SimTime data_pre;
-    OffloadBreakdown scoring;
-
-    auto fail_member = [&](PendingRequest& m, SimTime at,
-                           std::string why) {
-        const SimTime arrival = *m.request.arrival;
-        ScoreReply reply;
-        reply.status = RequestStatus::kFailed;
-        reply.finish = at;
-        reply.timing.latency = at - arrival;
-        reply.attempts = total_attempts;
-        reply.degraded = degraded;
-        reply.error = std::move(why);
-        stats_.RecordFailed(arrival, at);
-        EmitRequestSpan(m, arrival, at, /*expired=*/false);
-        m.handle->Fulfill(std::move(reply));
-        SettleOne(at);
-    };
-
-    while (!live.empty()) {
-        ++total_attempts;
-        ++device_attempts;
-        ExternalScriptRuntime& runtime = *exec_device->runtime;
-        invocation = runtime.Invoke();
-        model_pre = invocation.cold
-                        ? runtime.ModelPreprocessing(entry.model_bytes)
-                        : SimTime();
-        transfer_to = runtime.TransferToProcess(bytes_in);
-        transfer_from = runtime.TransferFromProcess(bytes_out);
-        data_pre = runtime.DataPreprocessing(rows, entry.num_cols);
-        scoring = entry.scheduler.EstimateFor(exec_kind, rows);
-
-        // This attempt's fate: the external process can crash during
-        // invocation; otherwise the offload crosses its hardware fault
-        // sites in operation order. Estimate/EstimateFor stay pure, so
-        // the dispatch consumes the same per-site fault stream a
-        // functional engine Score would.
-        bool faulted = invocation.crashed;
-        fault::FaultSite fault_site = fault::FaultSite::kExternalInvoke;
-        SimTime wasted = invocation.cost;
-        if (!faulted) {
-            const auto sites = OffloadFaultSites(exec_kind);
-            for (std::size_t i = 0; i < sites.size(); ++i) {
-                if (injector.ShouldFail(sites[i])) {
-                    faulted = true;
-                    fault_site = sites[i];
-                    wasted = invocation.cost + model_pre + transfer_to +
-                             data_pre +
-                             FaultedOffloadCost(scoring, exec_class, i);
-                    break;
-                }
-            }
-        }
-        if (!faulted) {
-            success = true;
-            break;
-        }
-
-        tracer.EmitSim(
-            StageKind::kFault, fault::FaultSiteName(fault_site),
-            live.front().trace, now, wasted,
-            {{"device", static_cast<double>(exec_class)},
-             {"attempt", static_cast<double>(total_attempts)}});
-        stats_.RecordFaultAttempt(exec_class, wasted);
-        now += wasted;
-        BreakerOnFault(*exec_device, exec_class, now, live.front().trace);
-
-        if (device_attempts < config_.retry.max_attempts) {
-            // Retry on the same device after backoff — but never
-            // dispatch a member past its deadline: those members fail
-            // now instead of riding a retry they could never use.
-            const SimTime backoff = NextBackoff(
-                *exec_device, static_cast<int>(exec_class),
-                device_attempts);
-            const SimTime redispatch = now + backoff;
-            std::vector<PendingRequest> retryable;
-            retryable.reserve(live.size());
-            std::size_t new_rows = 0;
-            for (PendingRequest& m : live) {
-                if (m.request.deadline.has_value() &&
-                    redispatch >
-                        *m.request.arrival + *m.request.deadline) {
-                    fail_member(m, now,
-                                "fault: deadline precludes retry");
-                    continue;
-                }
-                new_rows += m.request.num_rows;
-                retryable.push_back(std::move(m));
-            }
-            live.swap(retryable);
-            rows = new_rows;
-            if (live.empty()) {
-                break;
-            }
-            tracer.EmitSim(
-                StageKind::kRetryBackoff, "retry-backoff",
-                live.front().trace, now, backoff,
-                {{"attempt", static_cast<double>(total_attempts)}});
-            stats_.RecordRetry(backoff);
-            now = redispatch;
-            continue;
-        }
-
-        if (config_.cpu_fallback && exec_class != DeviceClass::kCpu) {
-            // Graceful degradation: release the accelerator (it burned
-            // start..now) and hand the batch to the CPU engine with a
-            // fresh attempt budget.
-            {
-                std::lock_guard<std::mutex> lock(exec_device->mutex);
-                exec_device->free_at = Max(exec_device->free_at, now);
-            }
-            auto cpu_best =
-                BestOfClass(entry.scheduler, DeviceClass::kCpu, rows);
-            DBS_ASSERT(cpu_best.has_value());
-            const auto from_class = exec_class;
-            exec_device = &devices_[0];
-            exec_class = DeviceClass::kCpu;
-            exec_kind = cpu_best->kind;
-            degraded = true;
-            device_attempts = 0;
-            {
-                std::lock_guard<std::mutex> lock(exec_device->mutex);
-                now = Max(now, exec_device->free_at);
-            }
-            stats_.RecordFallback();
-            tracer.EmitSim(
-                StageKind::kFallback, "cpu-fallback", live.front().trace,
-                now, SimTime(),
-                {{"from", static_cast<double>(from_class)}});
-            continue;
-        }
-
-        // No retries and no fallback left: the remaining members fail.
-        break;
+    // the amortization the paper's per-query pipeline forgoes. The core
+    // runs it under any installed FaultPlan: retries, breaker, CPU
+    // fallback. With every member expired nothing dispatches and the
+    // device stays free.
+    DispatchOutcome out;
+    if (rows > 0) {
+        out = core_.Run({d, lane, kind, start, batch.degraded,
+                         core_.CostAttempt(d, entry, kind, rows)},
+                        entry, members);
     }
 
-    if (!success) {
-        {
-            std::lock_guard<std::mutex> lock(exec_device->mutex);
-            exec_device->free_at = Max(exec_device->free_at, now);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        const DispatchMember& dm = members[i];
+        if (!dm.failed) {
+            continue;
         }
-        for (PendingRequest& m : live) {
-            fail_member(m, now, "injected faults exhausted every retry");
+        PendingRequest& m = batch.members[i];
+        const SimTime arrival = *m.request.arrival;
+        const bool expired = dm.attempts == 0;
+        ScoreReply reply;
+        reply.status =
+            expired ? RequestStatus::kExpired : RequestStatus::kFailed;
+        reply.finish = dm.failed_at;
+        reply.timing.latency = dm.failed_at - arrival;
+        reply.degraded = dm.degraded;
+        reply.error = dm.error;
+        if (expired) {
+            stats_.RecordExpired(arrival, dm.failed_at);
+        } else {
+            reply.attempts = dm.attempts;
+            stats_.RecordFailed(arrival, dm.failed_at);
         }
+        EmitRequestSpan(m, arrival, dm.failed_at, expired);
+        m.handle->Fulfill(std::move(reply));
+        SettleOne(dm.failed_at);
+    }
+    if (!out.completed) {
         tracer.Drain();
         return;
     }
-
-    const SimTime transfer = transfer_to + transfer_from;
-    const SimTime service = invocation.cost + model_pre + transfer +
-                            data_pre + scoring.Total();
-    const SimTime finish = now + service;
-
-    {
-        std::lock_guard<std::mutex> lock(exec_device->mutex);
-        exec_device->free_at = Max(exec_device->free_at, finish);
-    }
-    BreakerOnSuccess(*exec_device, exec_class, finish,
-                     live.front().trace);
-    stats_.RecordBatch(exec_class, live.size(), rows, service,
-                       invocation.cold);
+    stats_.RecordBatch(out.members, out.rows);
 
     // Wall span for the dispatch on this worker thread; kernel spans
     // emitted while computing predictions nest under it implicitly.
     // Its simulated extent spans first dispatch through completion, so
     // faulted attempts and backoffs sit inside it on the timeline.
+    std::size_t lead = 0;
+    while (members[lead].failed) {
+        ++lead;
+    }
     trace::ScopedSpan exec(StageKind::kBatch, "batch-execute",
-                           live.front().trace);
-    exec.SetSim(start, finish - start);
-    exec.AddAttr("requests", static_cast<double>(live.size()));
-    exec.AddAttr("rows", static_cast<double>(rows));
-    exec.AddAttr("device", static_cast<double>(exec_class));
+                           members[lead].trace);
+    exec.SetSim(start, out.finish - start);
+    exec.AddAttr("requests", static_cast<double>(out.members));
+    exec.AddAttr("rows", static_cast<double>(out.rows));
+    exec.AddAttr("device", static_cast<double>(out.device));
 
-    const double n = static_cast<double>(live.size());
-    for (PendingRequest& m : live) {
+    const AttemptCosts& c = out.costs;
+    const double n = static_cast<double>(out.members);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        if (members[i].failed) {
+            continue;
+        }
+        PendingRequest& m = batch.members[i];
         const SimTime arrival = *m.request.arrival;
         const double share =
             static_cast<double>(m.request.num_rows) /
-            static_cast<double>(rows);
+            static_cast<double>(out.rows);
         ScoreReply reply;
         reply.status = RequestStatus::kCompleted;
-        reply.backend = exec_kind;
-        reply.finish = finish;
-        reply.batch_requests = live.size();
-        reply.batch_rows = rows;
-        reply.cold_invocation = invocation.cold;
-        reply.attempts = total_attempts;
-        reply.degraded = degraded;
+        reply.backend = out.kind;
+        reply.finish = out.finish;
+        reply.batch_requests = out.members;
+        reply.batch_rows = out.rows;
+        reply.cold_invocation = c.invocation.cold;
+        reply.attempts = out.attempts;
+        reply.degraded = out.degraded;
         RequestTiming& t = reply.timing;
         t.coalesce_delay = Max(SimTime(), batch.ready - arrival);
         t.queue_wait = start - batch.ready;
-        t.invocation_share = invocation.cost / n;
-        t.model_preproc_share = model_pre / n;
-        t.transfer_share = transfer * share;
-        t.data_preproc_share = data_pre * share;
-        t.scoring_share = ScaleBreakdown(scoring, share);
-        t.latency = finish - arrival;
+        t.invocation_share = c.invocation.cost / n;
+        t.model_preproc_share = c.model_pre / n;
+        t.transfer_share = c.Transfer() * share;
+        t.data_preproc_share = c.data_pre * share;
+        t.scoring_share = ScaleBreakdown(c.scoring, share);
+        t.latency = out.finish - arrival;
 
         // Simulated stage chain, one span per paper component,
         // parented to the member's own request root: waiting spans at
         // their true timeline positions, then the request's share of
         // the batch cost laid end to end from the *successful*
-        // dispatch at `now` (faults and backoffs between start and now
-        // have their own kFault/kRetryBackoff spans).
+        // dispatch (faults and backoffs before it have their own
+        // kFault/kRetryBackoff spans).
         tracer.EmitSim(StageKind::kCoalesce, "coalesce-delay", m.trace,
                        arrival, t.coalesce_delay);
         tracer.EmitSim(StageKind::kQueueWait, "queue-wait", m.trace,
                        batch.ready, t.queue_wait);
-        SimTime cursor = now;
-        const struct {
-            StageKind stage;
-            const char* name;
-            SimTime dur;
-        } shares[] = {
-            {StageKind::kInvocation, "invocation-share",
-             t.invocation_share},
-            {StageKind::kModelPreproc, "model-preproc-share",
-             t.model_preproc_share},
-            {StageKind::kMarshal, "transfer-share", t.transfer_share},
-            {StageKind::kDataPreproc, "data-preproc-share",
-             t.data_preproc_share},
-            {StageKind::kScoring, "scoring-share",
-             t.scoring_share.Total()},
-        };
-        for (const auto& s : shares) {
-            tracer.EmitSim(s.stage, s.name, m.trace, cursor, s.dur);
-            cursor += s.dur;
-        }
+        EmitStageChain(m.trace, out.start,
+                       {t.invocation_share, t.model_preproc_share,
+                        t.transfer_share, t.data_preproc_share,
+                        t.scoring_share.Total()});
 
         if (!m.request.rows.empty()) {
             // Functional scoring through the model's cached kernel
@@ -985,15 +659,14 @@ ScoringService::ExecuteBatch(Device& device, DeviceClass device_class,
             reply.predictions =
                 entry.forest.PredictBatch(m.request.rows);
         }
-        stats_.RecordCompleted(t, arrival, finish, m.request.num_rows,
-                               degraded);
-        EmitRequestSpan(m, arrival, finish, /*expired=*/false);
+        stats_.RecordCompleted(t, arrival, out.finish, out.degraded);
+        EmitRequestSpan(m, arrival, out.finish, /*expired=*/false);
         {
             trace::ScopedSpan fulfill(StageKind::kReply, "fulfill",
                                       m.trace);
             m.handle->Fulfill(std::move(reply));
         }
-        SettleOne(finish);
+        SettleOne(out.finish);
     }
 
     // Keep the per-thread rings far from overflow under sustained

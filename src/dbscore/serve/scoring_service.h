@@ -43,52 +43,12 @@
 #include "dbscore/core/workload_sim.h"
 #include "dbscore/dbms/external_runtime.h"
 #include "dbscore/serve/batch_coalescer.h"
+#include "dbscore/serve/dispatch_core.h"
 #include "dbscore/serve/request.h"
 #include "dbscore/serve/service_stats.h"
 #include "dbscore/trace/trace.h"
 
 namespace dbscore::serve {
-
-/**
- * Per-batch retry policy for dispatch attempts lost to injected
- * faults: capped exponential backoff with deterministic jitter.
- * Deadline-aware — a member whose deadline precedes the retry's
- * dispatch time fails instead of riding a retry it could never use.
- */
-struct RetryPolicy {
-    /**
-     * Dispatch attempts permitted per device, first try included.
-     * A CPU fallback (see ServiceConfig::cpu_fallback) gets a fresh
-     * budget on the CPU device.
-     */
-    std::size_t max_attempts = 4;
-    /** Backoff before the first retry. */
-    SimTime initial_backoff = SimTime::Millis(1.0);
-    /** Growth factor per additional retry. */
-    double backoff_multiplier = 2.0;
-    /** Cap on any single backoff (before jitter). */
-    SimTime max_backoff = SimTime::Millis(50.0);
-    /** Uniform jitter in [0, frac) of the backoff, added to it. */
-    double jitter_frac = 0.2;
-    /**
-     * Seed of the jitter stream. Jitter is a pure function of
-     * (seed, device, per-device attempt counter), so a replayed run
-     * re-draws identical jitter.
-     */
-    std::uint64_t jitter_seed = 0x7e57;
-};
-
-/** Per-device-queue circuit breaker policy. */
-struct BreakerPolicy {
-    /** Consecutive dispatch failures that open the breaker. */
-    std::size_t failure_threshold = 5;
-    /**
-     * Modeled cooldown while open: batches becoming ready before
-     * open-time + cooldown re-route to CPU; the first batch at or
-     * after it runs as the half-open probe.
-     */
-    SimTime open_cooldown = SimTime::Millis(200.0);
-};
 
 /** Service configuration. */
 struct ServiceConfig {
@@ -203,61 +163,18 @@ class ScoringService {
     const ServiceConfig& config() const { return config_; }
 
  private:
-    /** Everything the workers need to cost one model's dispatches. */
-    struct ModelEntry {
-        OffloadScheduler scheduler;
-        /**
-         * Functional model for requests that carry row payloads. Its
-         * ForestKernel is compiled once here at registration — the
-         * per-model kernel cache — so coalesced micro-batches score
-         * through the same compiled plan and never recompile.
-         */
-        RandomForest forest;
-        std::size_t num_cols = 0;
-        std::uint64_t model_bytes = 0;
-
-        ModelEntry(const HardwareProfile& profile,
-                   const TreeEnsemble& model, const ModelStats& stats);
-    };
-
-    /** One device class's queue, worker state, and modeled horizon. */
-    struct Device {
-        std::deque<std::pair<Batch, BackendKind>> queue;
-        std::mutex mutex;
-        std::condition_variable cv;
-        /** Modeled time at which the device next goes idle. */
-        SimTime free_at;
-        /** This worker's warm-process pool. */
-        std::unique_ptr<ExternalScriptRuntime> runtime;
-        /** Worker exits once set and the queue is drained. */
-        bool stop = false;
-        // Circuit-breaker state, guarded by mutex like free_at.
-        BreakerState breaker = BreakerState::kClosed;
-        /** Consecutive faulted dispatch attempts since the last success. */
-        std::size_t consecutive_failures = 0;
-        /** While open: modeled time the half-open probe becomes legal. */
-        SimTime breaker_open_until;
-        /** Position in this device's deterministic jitter stream. */
-        std::uint64_t attempt_seq = 0;
-    };
+    /** A placed batch and the backend it dispatches to. */
+    using QueuedBatch = std::pair<Batch, BackendKind>;
 
     void DispatcherLoop();
-    void WorkerLoop(int device_index);
+    void WorkerLoop(std::size_t device);
     void PlaceAndEnqueue(Batch batch);
-    void ExecuteBatch(Device& device, DeviceClass device_class,
-                      Batch& batch, BackendKind kind);
     /**
-     * Capped exponential backoff + deterministic jitter before retry
-     * number @p retry_index (1 = first retry) on @p device.
+     * Expires members past their deadline, then runs the batch through
+     * the dispatch core. @p members is the worker's scratch list.
      */
-    SimTime NextBackoff(Device& device, int device_index,
-                        std::size_t retry_index);
-    /** Breaker bookkeeping after one faulted dispatch attempt. */
-    void BreakerOnFault(Device& device, DeviceClass device_class,
-                        SimTime now, const trace::SpanContext& parent);
-    /** Breaker bookkeeping after one successful dispatch. */
-    void BreakerOnSuccess(Device& device, DeviceClass device_class,
-                          SimTime now, const trace::SpanContext& parent);
+    void ExecuteBatch(std::size_t device, Batch& batch, BackendKind kind,
+                      std::vector<DispatchMember>& members);
     /** Emits a request's root span (dual clock: submit->now wall, arrival->finish sim). */
     void EmitRequestSpan(const PendingRequest& request, SimTime arrival,
                          SimTime finish, bool expired) const;
@@ -267,7 +184,9 @@ class ScoringService {
 
     HardwareProfile profile_;
     ServiceConfig config_;
-    std::map<std::string, std::unique_ptr<ModelEntry>> models_;
+    /** Device state and the fault-attempt loop; one lane per device. */
+    DispatchCore core_;
+    std::map<std::string, std::unique_ptr<ServedModel>> models_;
 
     // Admission queue (bounded) feeding the dispatcher.
     mutable std::mutex admission_mutex_;
@@ -281,7 +200,8 @@ class ScoringService {
     bool running_ = false;
     bool dispatcher_done_ = false;
 
-    Device devices_[3];
+    /** Per-device batch queues, guarded by the core device's mutex. */
+    std::deque<QueuedBatch> queues_[DispatchCore::kNumDevices];
 
     // Drain/Stop coordination.
     mutable std::mutex settled_mutex_;

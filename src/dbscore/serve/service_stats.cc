@@ -6,8 +6,6 @@
 
 namespace dbscore::serve {
 
-namespace {
-
 DistSummary
 Summarize(const RunningStats& stats, const QuantileSketch& sketch)
 {
@@ -22,19 +20,6 @@ Summarize(const RunningStats& stats, const QuantileSketch& sketch)
     s.p95 = sketch.Quantile(0.95);
     s.p99 = sketch.Quantile(0.99);
     return s;
-}
-
-}  // namespace
-
-const char*
-BreakerStateName(BreakerState state)
-{
-    switch (state) {
-      case BreakerState::kClosed: return "closed";
-      case BreakerState::kOpen: return "open";
-      case BreakerState::kHalfOpen: return "half-open";
-    }
-    return "?";
 }
 
 SimTime
@@ -101,22 +86,21 @@ ServiceSnapshot::ToString() const
        << Makespan() << "\n";
     static const char* kDeviceNames[3] = {"CPU ", "GPU ", "FPGA"};
     for (int d = 0; d < 3; ++d) {
-        if (device[d].batches == 0 && device[d].faults == 0) {
-            continue;
+        if (device[d].dispatches + device[d].faults > 0) {
+            os << kDeviceNames[d] << ":     " << device[d].ToString() << "\n";
         }
-        os << StrFormat(
-            "%s:     %zu batches, %zu requests, %zu rows, %zu cold, busy ",
-            kDeviceNames[d], device[d].batches, device[d].requests,
-            device[d].rows, device[d].cold_invocations)
-           << device[d].busy;
-        if (device[d].faults > 0 ||
-            device[d].breaker != BreakerState::kClosed) {
-            os << StrFormat(", %zu faults, breaker %s", device[d].faults,
-                            BreakerStateName(device[d].breaker));
-        }
-        os << "\n";
     }
     return os.str();
+}
+
+void
+ServiceStats::TouchSpanLocked(SimTime arrival, SimTime finish)
+{
+    if (!any_arrival_ || arrival < totals_.first_arrival) {
+        totals_.first_arrival = arrival;
+        any_arrival_ = true;
+    }
+    totals_.last_finish = Max(totals_.last_finish, finish);
 }
 
 void
@@ -145,27 +129,13 @@ ServiceStats::RecordExpired(SimTime arrival, SimTime finish)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++totals_.expired;
-    if (!any_arrival_ || arrival < totals_.first_arrival) {
-        totals_.first_arrival = arrival;
-        any_arrival_ = true;
-    }
-    totals_.last_finish = Max(totals_.last_finish, finish);
+    TouchSpanLocked(arrival, finish);
 }
 
 void
-ServiceStats::RecordBatch(DeviceClass device, std::size_t num_requests,
-                          std::size_t num_rows, SimTime busy, bool cold)
+ServiceStats::RecordBatch(std::size_t num_requests, std::size_t num_rows)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.batches;
-    DeviceServeStats& d = totals_.device[static_cast<int>(device)];
-    ++d.batches;
-    d.requests += num_requests;
-    d.rows += num_rows;
-    d.busy += busy;
-    if (cold) {
-        ++d.cold_invocations;
-    }
     batch_request_stats_.Add(static_cast<double>(num_requests));
     batch_request_sketch_.Add(static_cast<double>(num_requests));
     batch_row_stats_.Add(static_cast<double>(num_rows));
@@ -174,20 +144,14 @@ ServiceStats::RecordBatch(DeviceClass device, std::size_t num_requests,
 
 void
 ServiceStats::RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                              SimTime finish, std::size_t rows,
-                              bool degraded)
+                              SimTime finish, bool degraded)
 {
-    (void)rows;
     std::lock_guard<std::mutex> lock(mutex_);
     ++totals_.completed;
     if (degraded) {
         ++totals_.degraded_completed;
     }
-    if (!any_arrival_ || arrival < totals_.first_arrival) {
-        totals_.first_arrival = arrival;
-        any_arrival_ = true;
-    }
-    totals_.last_finish = Max(totals_.last_finish, finish);
+    TouchSpanLocked(arrival, finish);
     latency_stats_.Add(timing.latency.seconds());
     latency_sketch_.Add(timing.latency.seconds());
     // Stage totals are no longer accumulated here: the trace subsystem
@@ -200,49 +164,7 @@ ServiceStats::RecordFailed(SimTime arrival, SimTime finish)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++totals_.failed;
-    if (!any_arrival_ || arrival < totals_.first_arrival) {
-        totals_.first_arrival = arrival;
-        any_arrival_ = true;
-    }
-    totals_.last_finish = Max(totals_.last_finish, finish);
-}
-
-void
-ServiceStats::RecordFaultAttempt(DeviceClass device, SimTime wasted)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.fault_attempts;
-    ++totals_.device[static_cast<int>(device)].faults;
-    totals_.fault_wasted += wasted;
-}
-
-void
-ServiceStats::RecordRetry(SimTime backoff)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.retries;
-    totals_.retry_backoff += backoff;
-}
-
-void
-ServiceStats::RecordFallback()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.fallback_batches;
-}
-
-void
-ServiceStats::RecordBreakerOpen()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.breaker_opens;
-}
-
-void
-ServiceStats::SetBreakerState(DeviceClass device, BreakerState state)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    totals_.device[static_cast<int>(device)].breaker = state;
+    TouchSpanLocked(arrival, finish);
 }
 
 ServiceSnapshot
@@ -257,25 +179,11 @@ ServiceStats::Snapshot() const
     return snap;
 }
 
-std::size_t
-ServiceStats::Settled() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return totals_.completed + totals_.rejected + totals_.expired +
-           totals_.failed;
-}
-
 void
 ServiceStats::Reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ServiceSnapshot fresh;
-    // Breaker states are current device facts, not history: a reset
-    // must not report an open breaker as closed.
-    for (int d = 0; d < 3; ++d) {
-        fresh.device[d].breaker = totals_.device[d].breaker;
-    }
-    totals_ = fresh;
+    totals_ = ServiceSnapshot();
     any_arrival_ = false;
     latency_stats_ = RunningStats();
     latency_sketch_ = QuantileSketch();

@@ -3,10 +3,11 @@
  * Thread-safe serving metrics.
  *
  * ServiceStats is the service's flight recorder: admission counters,
- * end-to-end latency quantiles, per-stage modeled-time totals (the
- * paper's Figure-11 taxonomy aggregated across the fleet), per-device
- * dispatch accounting, and the coalesced-batch size distribution. Any
- * thread may record; any thread may Snapshot() while the service runs —
+ * end-to-end latency quantiles and the coalesced-batch size
+ * distribution. ServiceSnapshot adds the per-device dispatch and fault
+ * accounting the DispatchCore keeps and the per-stage modeled-time
+ * totals (the paper's Figure-11 taxonomy) the trace holds. Any thread
+ * may record; any thread may Snapshot() while the service runs —
  * snapshots are consistent copies taken under one lock.
  */
 #ifndef DBSCORE_SERVE_SERVICE_STATS_H
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "dbscore/common/stats.h"
+#include "dbscore/serve/dispatch_core.h"
 #include "dbscore/serve/request.h"
 
 namespace dbscore::serve {
@@ -31,33 +33,11 @@ struct DistSummary {
     double max = 0.0;
 };
 
-/**
- * Circuit-breaker state of one device queue. Closed is healthy;
- * K consecutive dispatch failures open the breaker (new work re-routes
- * to CPU); after a cooldown the next batch runs as a half-open probe —
- * success closes the breaker, another fault re-opens it.
- */
-enum class BreakerState {
-    kClosed,
-    kOpen,
-    kHalfOpen,
-};
+/** Summary of one distribution recorded into @p stats and @p sketch. */
+DistSummary Summarize(const RunningStats& stats, const QuantileSketch& sketch);
 
-const char* BreakerStateName(BreakerState state);
-
-/** Per-device-class dispatch accounting. */
-struct DeviceServeStats {
-    std::size_t batches = 0;
-    std::size_t requests = 0;
-    std::size_t rows = 0;
-    std::size_t cold_invocations = 0;
-    /** Modeled busy time accumulated on this device. */
-    SimTime busy;
-    /** Dispatch attempts on this device lost to injected faults. */
-    std::size_t faults = 0;
-    /** Breaker state at snapshot time. */
-    BreakerState breaker = BreakerState::kClosed;
-};
+/** Per-device-class dispatch accounting, kept by the DispatchCore. */
+using DeviceServeStats = DispatchCounters;
 
 /**
  * Fleet-wide modeled time spent in each pipeline stage. Derived from
@@ -138,46 +118,27 @@ class ServiceStats {
     void RecordRejected();
     void RecordExpired(SimTime arrival, SimTime finish);
 
-    /** One coalesced dispatch on @p device. */
-    void RecordBatch(DeviceClass device, std::size_t num_requests,
-                     std::size_t num_rows, SimTime busy, bool cold);
+    /**
+     * Size of one coalesced dispatch. Per-device dispatch and fault
+     * counters live in the DispatchCore; ScoringService::Stats() merges
+     * them into the snapshot.
+     */
+    void RecordBatch(std::size_t num_requests, std::size_t num_rows);
 
     /** One completed member of a dispatched batch. */
     void RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                         SimTime finish, std::size_t rows, bool degraded);
+                         SimTime finish, bool degraded);
 
     /** One member whose batch exhausted every permitted retry. */
     void RecordFailed(SimTime arrival, SimTime finish);
 
-    /** One dispatch attempt lost to an injected fault on @p device. */
-    void RecordFaultAttempt(DeviceClass device, SimTime wasted);
-
-    /** One re-dispatch after a fault, delayed by @p backoff. */
-    void RecordRetry(SimTime backoff);
-
-    /** One batch re-routed to the CPU engine. */
-    void RecordFallback();
-
-    /** One closed -> open breaker transition. */
-    void RecordBreakerOpen();
-
-    /** Breaker state reported in the next Snapshot() (one per class). */
-    void SetBreakerState(DeviceClass device, BreakerState state);
-
     ServiceSnapshot Snapshot() const;
 
     /**
-     * Requests that reached a terminal state
-     * (completed + rejected + expired + failed).
-     */
-    std::size_t Settled() const;
-
-    /**
      * Zeroes every counter and distribution for a fresh measurement
-     * phase. Breaker states (current device facts, not history)
-     * survive. In-flight requests settle into the new phase's
-     * counters, so a snapshot taken mid-flight can show completions
-     * without admissions.
+     * phase. In-flight requests settle into the new phase's counters,
+     * so a snapshot taken mid-flight can show completions without
+     * admissions.
      */
     void Reset();
 
@@ -191,6 +152,9 @@ class ServiceStats {
     QuantileSketch batch_request_sketch_;
     RunningStats batch_row_stats_;
     QuantileSketch batch_row_sketch_;
+
+    /** Widens the modeled [first arrival, last finish] span. */
+    void TouchSpanLocked(SimTime arrival, SimTime finish);
 };
 
 }  // namespace dbscore::serve

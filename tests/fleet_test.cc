@@ -302,6 +302,25 @@ TEST(ModelRegistryTest, WarmEvictRewarmPaysBuildCostExactlyOnce)
               0);
 }
 
+TEST(ModelRegistryTest, MissAddsKernelBuildWallTime)
+{
+    const FleetFixture& f = Fixture();
+    ModelRegistry registry(f.profile, RegistryConfig{});
+    registry.RegisterModel("a", f.ensemble, f.stats);
+    const trace::SpanContext parent =
+        trace::TraceCollector::Get().NewRootContext(0);
+
+    AcquireResult miss = registry.Acquire("a", parent, SimTime());
+    ASSERT_FALSE(miss.hit);
+    EXPECT_GT(miss.model->build_wall_ms, 0.0);
+    EXPECT_EQ(registry.Snapshot().build_wall_ms_total,
+              miss.model->build_wall_ms);
+    // A hit builds nothing and adds nothing.
+    EXPECT_TRUE(registry.Acquire("a", parent, SimTime()).hit);
+    EXPECT_EQ(registry.Snapshot().build_wall_ms_total,
+              miss.model->build_wall_ms);
+}
+
 TEST(ModelRegistryTest, OverBudgetLoneModelStaysResident)
 {
     const FleetFixture& f = Fixture();
@@ -574,6 +593,95 @@ TEST(FleetServiceTest, EightThreadChaosSettlesEveryRequest)
     EXPECT_EQ(class_submitted,
               static_cast<std::size_t>(kThreads * kPerThread));
     EXPECT_EQ(class_settled, class_submitted);
+    service.Stop();
+}
+
+// ------------------------------------------------- breaker lifecycle --
+
+TEST(FleetFaultTest, BreakerOpensHalfOpensAndFailedProbeReopens)
+{
+    const FleetFixture& f = Fixture();
+    FleetConfig config;
+    config.retry.max_attempts = 2;
+    config.breaker.failure_threshold = 2;
+    config.breaker.open_cooldown = SimTime::Millis(200.0);
+    // A free FPGA lane at every arrival, so only the breaker keeps
+    // work off the FPGA.
+    config.autoscaler.enabled = false;
+    config.initial_lanes = 4;
+    // Leave room in the deadline for two faulted attempts and the CPU.
+    config.slo[static_cast<int>(SloClass::kGold)].deadline =
+        SimTime::Seconds(60.0);
+    FleetService service(f.profile, config);
+    service.RegisterModel("m", f.ensemble, f.stats);
+    service.RegisterTenant(1, "m", SloClass::kGold);
+    service.Start();
+
+    auto score = [&service](double arrival_s) {
+        FleetRequest r;
+        r.tenant_id = 1;
+        r.num_rows = 200000;  // large enough that the FPGA finishes first
+        r.arrival = SimTime::Seconds(arrival_s);
+        return service.ScoreSync(std::move(r));
+    };
+    auto fpga = [&service] {
+        return service.Stats().devices[static_cast<int>(DeviceClass::kFpga)];
+    };
+    auto breaker_spans = [&service](const char* name) {
+        return CountSpans(service.trace_domain(), trace::StageKind::kBreaker,
+                          name);
+    };
+
+    // Healthy, the request places on the FPGA.
+    ASSERT_EQ(score(0.0).device, DeviceClass::kFpga);
+
+    fault::FaultPlan plan;
+    plan.At(fault::FaultSite::kFpgaSetup).probability = 1.0;
+    plan.At(fault::FaultSite::kFpgaSetup).sticky = true;
+    fault::FaultInjector::Get().Install(plan);
+
+    // A: two faulted FPGA attempts open the breaker (threshold 2); the
+    // request degrades to the CPU.
+    FleetReply a = score(1.0);
+    EXPECT_EQ(a.status, RequestStatus::kCompleted);
+    EXPECT_TRUE(a.degraded);
+    EXPECT_EQ(a.attempts, 3u);
+    EXPECT_EQ(fpga().breaker, serve::BreakerState::kOpen);
+    EXPECT_EQ(fpga().breaker_opens, 1u);
+
+    // B, inside the cooldown: placement skips the FPGA.
+    FleetReply b = score(1.05);
+    EXPECT_EQ(b.status, RequestStatus::kCompleted);
+    EXPECT_NE(b.device, DeviceClass::kFpga);
+    EXPECT_EQ(b.attempts, 1u);
+
+    // C, past the cooldown with the FPGA still failing: C is the
+    // half-open probe, and its fault re-opens the breaker for a fresh
+    // cooldown.
+    FleetReply c = score(10.0);
+    EXPECT_EQ(breaker_spans("breaker-half-open"), 1u);
+    EXPECT_TRUE(c.degraded);
+    EXPECT_EQ(c.attempts, 3u);
+    EXPECT_EQ(fpga().breaker, serve::BreakerState::kOpen);
+    EXPECT_EQ(fpga().breaker_opens, 2u);
+
+    // D, inside the fresh cooldown: skipped again instead of probing
+    // the failing device a second time.
+    FleetReply d = score(10.05);
+    EXPECT_NE(d.device, DeviceClass::kFpga);
+    EXPECT_EQ(d.attempts, 1u);
+    EXPECT_FALSE(d.degraded);
+
+    // Healed, E past the cooldown probes the FPGA and closes the
+    // breaker.
+    fault::FaultInjector::Get().Clear();
+    FleetReply e = score(20.0);
+    EXPECT_EQ(e.device, DeviceClass::kFpga);
+    EXPECT_EQ(e.attempts, 1u);
+    EXPECT_FALSE(e.degraded);
+    EXPECT_EQ(fpga().breaker, serve::BreakerState::kClosed);
+    EXPECT_EQ(breaker_spans("breaker-half-open"), 2u);
+    EXPECT_EQ(breaker_spans("breaker-close"), 1u);
     service.Stop();
 }
 

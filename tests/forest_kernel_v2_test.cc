@@ -408,6 +408,19 @@ TEST(ForestKernelV2Test, KernelBuildEmitsTraceStage)
     AutotuneCacheClear();
 }
 
+TEST(ForestKernelV2Test, BuildWallTimeIsStampedOnEveryBuildPath)
+{
+    RandomForest forest = TrainSmallIris(8, 5, 66);
+    for (KernelMode mode : {KernelMode::kExact, KernelMode::kQuantized}) {
+        ForestKernel kernel(forest, V2Options(mode));
+        ASSERT_EQ(kernel.version(), KernelVersion::kV2);
+        EXPECT_GT(kernel.build_wall_ms(), 0.0);
+    }
+    ForestKernelOptions v1;
+    v1.version = KernelVersion::kV1;
+    EXPECT_GT(ForestKernel(forest, v1).build_wall_ms(), 0.0);
+}
+
 // ------------------------------------------------------------ scratch --
 
 TEST(ForestKernelV2Test, ScratchReusableAcrossModesAndBatches)

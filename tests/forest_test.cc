@@ -4,6 +4,7 @@
  * behaviour, serialization round trips, and the ONNX-like exchange format.
  */
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -348,6 +349,37 @@ TEST(SerializeTest, RejectsCorruptBlobs)
         bad.push_back(0);  // trailing garbage
         EXPECT_THROW(DeserializeForest(bad), ParseError);
     }
+}
+
+TEST(SerializeTest, RejectsClassificationLeafThatIsNotAClassId)
+{
+    Dataset data = MakeIris(60, 14);
+    ForestTrainerConfig config;
+    config.num_trees = 2;
+    config.max_depth = 4;
+    RandomForest forest = TrainForest(data, config);
+    const auto blob = SerializeForest(forest);
+
+    // Blob layout: a 21-byte header, then per tree a u32 node count
+    // and 20-byte nodes {feature, threshold, left, right, value}.
+    const DecisionTree& tree = forest.trees().front();
+    std::int32_t leaf = 0;
+    while (!tree.IsLeaf(leaf)) {
+        ++leaf;
+    }
+    const std::size_t value_at =
+        21 + 4 + static_cast<std::size_t>(leaf) * 20 + 16;
+    const float bad_values[] = {
+        static_cast<float>(forest.num_classes()),  // one past the last
+        -1.0f, 0.5f, std::nanf(""), INFINITY};
+    for (float value : bad_values) {
+        auto bad = blob;
+        std::memcpy(bad.data() + value_at, &value, sizeof(value));
+        // Without the check this blob parses, then aborts the process
+        // on the kernel's class-id assertion at its first Predict.
+        EXPECT_THROW(DeserializeForest(bad), ParseError) << value;
+    }
+    EXPECT_EQ(DeserializeForest(blob).NumTrees(), forest.NumTrees());
 }
 
 TEST(OnnxLikeTest, ForestRoundTrip)
