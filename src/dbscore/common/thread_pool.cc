@@ -130,7 +130,10 @@ ThreadPool::ParallelForChunked(
         return;
     }
 
-    std::atomic<std::size_t> remaining{num_chunks};
+    // Guarded by done_mutex. Each chunk's count-down and notify happen
+    // under the lock, so this frame (mutex and cv included) is not torn
+    // down until the last worker has released it.
+    std::size_t remaining = num_chunks;
     std::mutex done_mutex;
     std::condition_variable done_cv;
     std::exception_ptr first_error;
@@ -151,15 +154,15 @@ ThreadPool::ParallelForChunked(
                     first_error = std::current_exception();
                 }
             }
-            if (remaining.fetch_sub(1) == 1) {
-                std::lock_guard<std::mutex> lock(done_mutex);
+            std::lock_guard<std::mutex> lock(done_mutex);
+            if (--remaining == 0) {
                 done_cv.notify_all();
             }
         });
     }
 
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
     if (first_error) {
         std::rethrow_exception(first_error);
     }

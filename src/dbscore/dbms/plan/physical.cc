@@ -7,6 +7,7 @@
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
+#include "dbscore/common/thread_pool.h"
 #include "dbscore/forest/onnx_like.h"
 
 namespace dbscore::plan {
@@ -89,6 +90,43 @@ Gather(const RowView& src, const std::uint32_t* rows, std::size_t num_rows,
     RowBlock::NoteCopy(static_cast<std::uint64_t>(num_rows) * width *
                        sizeof(float));
     return RowView::Borrow(scratch.data(), num_rows, width);
+}
+
+/**
+ * Cell of scored-scan row @p i (table row @p r): in-memory tables
+ * return the stored Value; paged tables read feature columns from
+ * @p feats, the scan's feature rows (label column excluded), and the
+ * label through FloatAt.
+ */
+Value
+ScanCell(const Table& table, const RowView* feats, std::size_t i,
+         std::size_t r, std::size_t col)
+{
+    if (!table.paged()) {
+        return table.At(r, col);
+    }
+    const std::size_t label_col = table.LabelColumnIndex();
+    if (col == label_col) {
+        return static_cast<double>(table.FloatAt(r, col));
+    }
+    return static_cast<double>(
+        feats->At(i, col - (col > label_col ? 1 : 0)));
+}
+
+/** True when scan row @p i (table row @p r) passes every predicate. */
+bool
+PlainPredicatesHold(const std::vector<ColumnPredicate>& preds,
+                    const Table& table, const RowView* feats,
+                    std::size_t i, std::size_t r)
+{
+    for (const ColumnPredicate& pred : preds) {
+        const int cmp = CompareValues(
+            ScanCell(table, feats, i, r, pred.column), pred.literal);
+        if (!EvalCompareOp(pred.op, cmp)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 /**
@@ -343,11 +381,7 @@ QueryResult
 PhysicalPlan::ExecuteScore(const Table& table) const
 {
     const SelectStatement& stmt = logical_.stmt;
-    const std::size_t label_col = table.LabelColumnIndex();
     const bool paged = table.paged();
-    auto feature_index = [label_col](std::size_t col) {
-        return col - (col > label_col ? 1 : 0);
-    };
 
     // Which scores must produce values (vs predicate-only scores the
     // rewriter may have pushed into the kernel).
@@ -455,42 +489,29 @@ PhysicalPlan::ExecuteScore(const Table& table) const
     std::vector<Value> sort_keys;
     ThresholdStats run_stats;
 
-    // Per-chunk processing; returns false to stop the scan early
-    // (TOP with no ORDER BY).
-    auto process = [&](const RowView* chunk_feats, std::size_t row_begin,
-                       std::size_t n) -> bool {
+    // Per-batch processing of @p n rows: @p batch_feats holds their
+    // feature rows (null for in-memory tables, which read mem_src) and
+    // @p row_ids their table row ids (null: batch row i is table row
+    // i). Zone pruning makes a paged batch's row ids non-contiguous,
+    // so every table read goes through the map. Returns false to stop
+    // the scan early (TOP with no ORDER BY).
+    auto process = [&](const RowView* batch_feats,
+                       const std::size_t* row_ids, std::size_t n) -> bool {
+        auto row_id = [row_ids](std::size_t i) {
+            return row_ids != nullptr ? row_ids[i] : i;
+        };
         // 1. Plain predicates first — cheap column compares shrink the
         //    row set before any tree traversal.
         std::vector<std::uint32_t> live;
         live.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) {
-            const std::size_t r = row_begin + i;
-            bool keep = true;
-            for (const ColumnPredicate& pred : plain_preds_) {
-                int cmp;
-                if (paged) {
-                    const double v =
-                        pred.column == label_col
-                            ? static_cast<double>(
-                                  table.FloatAt(r, pred.column))
-                            : static_cast<double>(chunk_feats->At(
-                                  i, feature_index(pred.column)));
-                    cmp = CompareValues(Value(v), pred.literal);
-                } else {
-                    cmp = CompareValues(table.At(r, pred.column),
-                                        pred.literal);
-                }
-                if (!EvalCompareOp(pred.op, cmp)) {
-                    keep = false;
-                    break;
-                }
-            }
-            if (keep) {
+            if (PlainPredicatesHold(plain_preds_, table, batch_feats, i,
+                                    row_id(i))) {
                 live.push_back(i);
             }
         }
 
-        // 2. Chunk-local feature sources per score (lazy).
+        // 2. Batch-local feature sources per score (lazy).
         std::vector<std::optional<RowView>> src(scores_.size());
         std::vector<std::vector<float>> col_scratch(scores_.size());
         auto chunk_src = [&](std::size_t s) -> const RowView& {
@@ -500,9 +521,9 @@ PhysicalPlan::ExecuteScore(const Table& table) const
                     src[s] = mem_src[s];
                 } else if (cs.identity_prefix) {
                     src[s] =
-                        chunk_feats->Prefix(cs.feature_idx.size());
+                        batch_feats->Prefix(cs.feature_idx.size());
                 } else {
-                    src[s] = Gather(*chunk_feats, nullptr, n,
+                    src[s] = Gather(*batch_feats, nullptr, n,
                                     cs.feature_idx.data(),
                                     cs.feature_idx.size(),
                                     col_scratch[s]);
@@ -574,16 +595,7 @@ PhysicalPlan::ExecuteScore(const Table& table) const
 
         // Cell accessor for plain columns of surviving rows.
         auto column_value = [&](std::size_t local, std::size_t col) {
-            const std::size_t r = row_begin + local;
-            if (!paged) {
-                return table.At(r, col);
-            }
-            const double v =
-                col == label_col
-                    ? static_cast<double>(table.FloatAt(r, col))
-                    : static_cast<double>(
-                          chunk_feats->At(local, feature_index(col)));
-            return Value(v);
+            return ScanCell(table, batch_feats, local, row_id(local), col);
         };
 
         // 5. Sink: fused aggregates or projected rows.
@@ -650,17 +662,57 @@ PhysicalPlan::ExecuteScore(const Table& table) const
     };
 
     if (paged) {
+        // Cross-page batching: a page holds far fewer rows than the
+        // kernel's parallel_grain, so consecutive surviving pages' rows
+        // are copied into one reused buffer and `process` runs once
+        // per batch, which lets the kernel reach its ThreadPool path.
+        // Each page is unpinned right after its copy (the stream still
+        // holds at most one pin). The first batch is one page and each
+        // next one doubles, up to ScanBatchRows(): a TOP without ORDER
+        // BY that stops early reads at most about twice the pages its
+        // rows span.
         storage::FeatureStream stream =
             table.ScanFeatures(zone_predicate_);
+        const std::size_t max_rows = ScanBatchRows();
+        std::vector<float> batch;
+        std::vector<std::size_t> batch_ids;
+        std::size_t width = 0;
+        std::size_t flush_at = 1;
         storage::StreamChunk chunk;
-        while (stream.Next(chunk)) {
-            if (!process(&chunk.view, chunk.row_begin,
-                         chunk.view.rows())) {
-                break;
+        for (bool more = true; more;) {
+            more = stream.Next(chunk);
+            if (more) {
+                const RowView& page = chunk.view;
+                if (batch.capacity() == 0) {
+                    width = page.cols();
+                    const std::size_t cap = std::min(
+                        stream.total_rows(), max_rows + page.rows());
+                    batch.reserve(cap * width);
+                    batch_ids.reserve(cap);
+                }
+                for (std::size_t i = 0; i < page.rows(); ++i) {
+                    batch.insert(batch.end(), page.Row(i),
+                                 page.Row(i) + width);
+                    batch_ids.push_back(chunk.row_begin + i);
+                }
+                RowBlock::NoteCopy(static_cast<std::uint64_t>(page.rows()) *
+                                   width * sizeof(float));
+                chunk.view = RowView();  // unpin before the next page
+            }
+            if (batch_ids.size() >= flush_at ||
+                (!more && !batch_ids.empty())) {
+                const RowView view = RowView::Borrow(
+                    batch.data(), batch_ids.size(), width);
+                if (!process(&view, batch_ids.data(), batch_ids.size())) {
+                    break;
+                }
+                flush_at = std::min(2 * batch_ids.size(), max_rows);
+                batch.clear();
+                batch_ids.clear();
             }
         }
     } else {
-        process(nullptr, 0, table.NumRows());
+        process(nullptr, nullptr, table.NumRows());
     }
 
     {
@@ -740,11 +792,7 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
     }
     const Table& table = db.GetTable(logical_.stmt.table);
     const CompiledScore& cs = scores_[0];
-    const std::size_t label_col = table.LabelColumnIndex();
     const bool paged = table.paged();
-    auto feature_index = [label_col](std::size_t col) {
-        return col - (col > label_col ? 1 : 0);
-    };
     const std::size_t width = cs.feature_cols.size();
 
     ScoringBatch batch;
@@ -755,34 +803,16 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
                        std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t r = row_begin + i;
-            bool keep = true;
-            for (const ColumnPredicate& pred : plain_preds_) {
-                int cmp;
-                if (paged) {
-                    const double v =
-                        pred.column == label_col
-                            ? static_cast<double>(
-                                  table.FloatAt(r, pred.column))
-                            : static_cast<double>(chunk_feats->At(
-                                  i, feature_index(pred.column)));
-                    cmp = CompareValues(Value(v), pred.literal);
-                } else {
-                    cmp = CompareValues(table.At(r, pred.column),
-                                        pred.literal);
-                }
-                if (!EvalCompareOp(pred.op, cmp)) {
-                    keep = false;
-                    break;
-                }
-            }
-            if (!keep) {
+            if (!PlainPredicatesHold(plain_preds_, table, chunk_feats, i,
+                                     r)) {
                 continue;
             }
             batch.row_ids.push_back(r);
             for (std::size_t j = 0; j < width; ++j) {
                 features.push_back(
-                    paged ? chunk_feats->At(i, cs.feature_idx[j])
-                          : table.FloatAt(r, cs.feature_cols[j]));
+                    chunk_feats != nullptr
+                        ? chunk_feats->At(i, cs.feature_idx[j])
+                        : table.FloatAt(r, cs.feature_cols[j]));
             }
         }
     };
@@ -802,6 +832,22 @@ PhysicalPlan::CollectScoringBatch(const Database& db) const
                        sizeof(float));
     batch.features = RowBlock(std::move(features), width);
     return batch;
+}
+
+std::size_t
+PhysicalPlan::ScanBatchRows() const
+{
+    std::size_t grain = 0;
+    for (const CompiledScore& cs : scores_) {
+        if (cs.kernel != nullptr) {
+            grain = std::max(grain, cs.kernel->options().parallel_grain);
+        }
+    }
+    if (grain == 0) {
+        // Scalar-reference scores only: batch as a default kernel would.
+        grain = ForestKernelOptions{}.parallel_grain;
+    }
+    return ThreadPool::Shared().size() * grain;
 }
 
 ThresholdStats
@@ -833,6 +879,12 @@ PhysicalPlan::ExplainPhysical() const
             cs.threshold_kernel != nullptr
                 ? ", threshold kernel v1 [early-exit]"
                 : ""));
+    }
+    if (logical_.table_paged && uses_score()) {
+        lines.push_back(StrFormat(
+            "scan: pages scored in cross-page batches of up to %zu "
+            "row(s), starting at one page and doubling",
+            ScanBatchRows()));
     }
     if (zone_predicate_.has_value()) {
         lines.push_back(StrFormat(

@@ -17,9 +17,10 @@
  *    interpreter, preserving the pre-planner engine's semantics
  *    exactly (including "At() on a paged table" errors);
  *  - scored statements stream feature chunks (zone-map-pruned for
- *    paged tables), apply plain predicates first, evaluate SCORE
- *    predicates over the compacted survivors (early-exit kernel when
- *    the rewriter pushed the threshold down), and fold fused
+ *    paged tables, whose pages are copied into kernel-sized batches
+ *    of ScanBatchRows() rows), apply plain predicates first, evaluate
+ *    SCORE predicates over the compacted survivors (early-exit kernel
+ *    when the rewriter pushed the threshold down), and fold fused
  *    aggregates into the loop without materializing a score column.
  *
  * Executing a rewritten plan is bit-identical to executing the naive
@@ -111,6 +112,13 @@ class PhysicalPlan {
     {
         return score_preds_;
     }
+
+    /**
+     * Rows per scoring batch on paged scans: shared ThreadPool size x
+     * the kernel's parallel_grain, the smallest batch every worker
+     * gets a full grain of.
+     */
+    std::size_t ScanBatchRows() const;
 
     /** Cumulative early-exit work accounting across Execute calls. */
     ThresholdStats threshold_stats() const;

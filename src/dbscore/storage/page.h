@@ -4,11 +4,24 @@
  *
  * Every page in a page file is a fixed-size block that begins with a
  * PageHeader: magic, the page's own id, a type tag, the valid payload
- * length, and a 64-bit checksum over the entire page (header with the
- * checksum field zeroed, plus payload). The self-id catches reads
+ * length, and a CRC32C (Castagnoli) over the entire page (header with
+ * the checksum field zeroed, plus payload), stored zero-extended in
+ * the header's 64-bit checksum field. The self-id catches reads
  * routed to the wrong offset; the checksum catches bit rot and torn
  * writes — a page half-written at crash time fails verification on
  * the next read instead of silently yielding garbage features.
+ *
+ * CRC32C runs on the CPU's CRC instruction where there is one (SSE4.2
+ * `crc32` behind a runtime CPUID check on x86-64, `crc32cd` on ARMv8
+ * builds with the CRC extension) and on a portable slice-by-8 table
+ * loop otherwise, or when the build defines DBSCORE_SIMD_DISABLED. All
+ * three produce the same value, so a page file is portable across
+ * them. Every read and write of a page pays this checksum, so it sits
+ * on every paged scan's critical path.
+ *
+ * Format version 2 (the superblock's `version`, kPageFormatVersion)
+ * is the CRC32C format; version 1 files carried FNV-1a-64 checksums
+ * and are rejected on open with a typed DataCorruption.
  *
  * Layout (page size is configurable per file, default 4 KiB like the
  * Mini-DB exemplar):
@@ -33,6 +46,9 @@ namespace dbscore::storage {
 
 /** First bytes of every page ("DBPG"). */
 inline constexpr std::uint32_t kPageMagic = 0x44425047u;
+
+/** On-disk format version the pager writes and the only one it opens. */
+inline constexpr std::uint32_t kPageFormatVersion = 2;
 
 /** Default page size; power of two, must exceed kPageHeaderSize. */
 inline constexpr std::size_t kDefaultPageSize = 4096;
@@ -81,12 +97,28 @@ PagePayloadBytes(std::size_t page_size)
 }
 
 /**
- * FNV-1a 64-bit over the whole page, with the header's checksum field
- * treated as zero. Dependency-free and good enough to catch torn
- * writes and stray bit flips (this is an integrity check, not crypto).
+ * CRC32C over the whole page, with the header's checksum field treated
+ * as zero, zero-extended to the 64-bit header field. Catches every
+ * single-bit flip and every burst of up to 32 bits (torn writes,
+ * stray bit rot); an integrity check, not crypto.
  */
 std::uint64_t ComputePageChecksum(const std::uint8_t* page,
                                   std::size_t page_size);
+
+/**
+ * CRC32C of @p len bytes, continuing from the CRC @p crc of the bytes
+ * before them (0 to start), so Crc32c(b, Crc32c(a)) == Crc32c(a + b).
+ * Uses the hardware instruction when the CPU has one.
+ */
+std::uint32_t Crc32c(const std::uint8_t* data, std::size_t len,
+                     std::uint32_t crc = 0);
+
+/** Crc32c on the portable slice-by-8 tables, whatever the CPU. */
+std::uint32_t Crc32cPortable(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t crc = 0);
+
+/** Which Crc32c backend this process uses: "sse4.2", "armv8", "portable". */
+const char* Crc32cBackend();
 
 /** Header view of a raw page buffer. */
 inline PageHeader*

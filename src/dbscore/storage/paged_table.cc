@@ -123,6 +123,7 @@ FeatureStream::Next(StreamChunk& chunk)
         return false;
     }
     const Entry& entry = entries_[next_entry_++];
+    table_->pages_scanned_.fetch_add(1, std::memory_order_relaxed);
     // Drop the previous chunk's pin before taking the next one so a
     // live stream holds at most one frame (caller-held slices keep
     // their own pins). Without this, every stream needs two frames at
@@ -1025,7 +1026,6 @@ PagedTable::Scan(const std::optional<ScanPredicate>& predicate) const
                 continue;
             }
         }
-        pages_scanned_.fetch_add(1, std::memory_order_relaxed);
         FeatureStream::Entry entry;
         entry.page_id = data_pages_[p];
         entry.row_begin = p * rows_per_page_;

@@ -168,7 +168,10 @@ struct StorageStats {
     BufferPoolStats pool;
     PagerStats pager;
     RecoveryStats recovery;
+    /** Data pages scans actually streamed (a scan stopped early, like
+     * a TOP without ORDER BY, counts only the pages it read). */
     std::uint64_t pages_scanned = 0;
+    /** Data pages zone-map pruning skipped when a scan was planned. */
     std::uint64_t pages_pruned = 0;
     std::uint64_t num_rows = 0;
     std::size_t data_pages = 0;

@@ -5,10 +5,10 @@
  * The pager is the lowest layer of the out-of-core data plane (ISSUE /
  * ROADMAP item 3; the Mini-DB pager in SNIPPETS.md is the structural
  * exemplar): open/alloc/read/write/sync over a single page file whose
- * page 0 is a superblock recording the file's page size. Every write
- * stamps the page's checksum; every read verifies magic, self-id, and
- * checksum, so torn writes and bit rot surface as DataCorruption
- * instead of silent bad features.
+ * page 0 is a superblock recording the file's format version and page
+ * size. Every write stamps the page's checksum; every read verifies
+ * magic, self-id, and checksum, so torn writes and bit rot surface as
+ * DataCorruption instead of silent bad features.
  *
  * Durability contract (the crash-consistency plane builds on this):
  * I/O is fd-based (pread/pwrite), so a completed Write() is in the OS
@@ -97,7 +97,8 @@ class Pager {
     /**
      * Opens (or creates) the page file at @p path. Creation writes the
      * superblock; opening validates it and adopts its page size.
-     * @throws IoError / DataCorruption
+     * @throws IoError / DataCorruption (also when the superblock's
+     *         format version is not kPageFormatVersion)
      */
     Pager(std::string path, const Options& options);
     ~Pager();

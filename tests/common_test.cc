@@ -176,6 +176,35 @@ TEST(ThreadPoolTest, ChunkedCoversRangeOnce)
     }
 }
 
+/** Overwrites the stack just below the caller's frame. */
+__attribute__((noinline)) void
+ScribbleStack()
+{
+    volatile unsigned char junk[8192];
+    for (std::size_t i = 0; i < sizeof(junk); ++i) {
+        junk[i] = 0xA5;
+    }
+}
+
+TEST(ThreadPoolTest, BackToBackLoopsReturnOnlyAfterEveryChunkLetGo)
+{
+    // A loop's completion latch lives in its caller's stack frame. A
+    // worker must be done with it before the call returns and the
+    // frame is reused (here: scribbled over); a late worker would lock
+    // a dead mutex. The race is narrow, so this stress only catches a
+    // regression some of the time (more often under TSan).
+    ThreadPool pool(4);
+    std::atomic<std::size_t> covered{0};
+    constexpr std::size_t kRounds = 5000;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        pool.ParallelForChunked(8, [&](std::size_t b, std::size_t e) {
+            covered += e - b;
+        });
+        ScribbleStack();
+    }
+    EXPECT_EQ(covered.load(), kRounds * 8);
+}
+
 TEST(ThreadPoolTest, EmptyRangeIsNoop)
 {
     ThreadPool pool(2);

@@ -5,12 +5,14 @@
  * bit-identity between optimized and naive plans across both table
  * backings and model families.
  */
+#include <algorithm>
 #include <filesystem>
 #include <variant>
 
 #include <gtest/gtest.h>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/string_util.h"
 #include "dbscore/data/synthetic.h"
 #include "dbscore/dbms/database.h"
 #include "dbscore/dbms/pipeline.h"
@@ -390,6 +392,164 @@ TEST_F(PlanTest, OptimizedMatchesNaiveForRegression)
             db_, std::string("SELECT SCORE(reg), f0 FROM ") + table +
                      " WHERE f1 <= 0.5 ORDER BY SCORE(reg)");
     }
+}
+
+/** Asserts @p a and @p b hold the same columns and rows, bit for bit. */
+void
+ExpectSameResult(const QueryResult& a, const QueryResult& b,
+                 const std::string& what)
+{
+    ASSERT_EQ(a.columns, b.columns) << what;
+    ASSERT_EQ(a.rows.size(), b.rows.size()) << what;
+    for (std::size_t r = 0; r < a.rows.size(); ++r) {
+        ASSERT_EQ(a.rows[r], b.rows[r]) << what << " row " << r;
+    }
+}
+
+TEST_F(PlanTest, TopWithoutOrderByStopsWithinTwiceItsPages)
+{
+    const std::shared_ptr<storage::PagedTable>& store =
+        db_.GetTable("paged").store();
+    const std::size_t rows_per_page = store->rows_per_page();
+    // The 5th row with kin_0 above the median sits several pages in.
+    std::vector<float> kin0;
+    for (std::size_t r = 0; r < data_.num_rows(); ++r) {
+        kin0.push_back(data_.At(r, 0));
+    }
+    std::vector<float> sorted = kin0;
+    std::sort(sorted.begin(), sorted.end());
+    const float median = sorted[sorted.size() / 2];
+    std::size_t fifth_match = 0;
+    for (std::size_t r = 0, found = 0; found < 5; ++r) {
+        if (kin0[r] > median) {
+            ++found;
+            fifth_match = r;
+        }
+    }
+    struct Case {
+        std::string where;
+        std::size_t last_row;  // table row of the 5th result row
+    };
+    const std::string cut = StrFormat("%.9g", static_cast<double>(median));
+    for (const Case& c : {Case{"", 4},
+                          Case{" WHERE kin_0 > " + cut, fifth_match}}) {
+        const std::string sql = "SELECT TOP 5 kin_0, SCORE(m) FROM paged" +
+                                c.where;
+        plan::Planner naive(db_, {/*optimize=*/false});
+        plan::Planner optimized(db_, {/*optimize=*/true});
+        const SelectStatement stmt = ParseSelect(sql);
+        store->ResetStats();
+        const QueryResult got = optimized.ExecuteSelect(stmt, sql);
+        const std::uint64_t scanned = store->Stats().pages_scanned;
+        ExpectSameResult(naive.ExecuteSelect(stmt, sql), got, sql);
+        const std::string mem_sql = "SELECT TOP 5 kin_0, SCORE(m) FROM mem" +
+                                    c.where;
+        const QueryResult mem = optimized.ExecuteSelect(
+            ParseSelect(mem_sql), mem_sql);
+        EXPECT_EQ(mem.rows, got.rows) << sql;
+        ASSERT_EQ(got.rows.size(), 5u);
+        const std::size_t spanned = c.last_row / rows_per_page + 1;
+        EXPECT_GE(scanned, 1u) << sql;
+        EXPECT_LE(scanned, 2 * spanned) << sql << ": " << spanned
+                                        << " page(s) hold the rows";
+    }
+}
+
+TEST_F(PlanTest, CrossPageBatchesMatchNaiveAcrossBatchBoundaries)
+{
+    // Enough rows for the ramp (1, 2, 4, ... pages) plus full
+    // ScanBatchRows() batches, and not a multiple of either; capped to
+    // keep the test small where the shared pool is very wide.
+    const std::size_t batch_rows =
+        plan::Planner(db_).PlanQuery("SELECT SCORE(m) FROM paged")
+            ->ScanBatchRows();
+    const std::size_t rows = std::min<std::size_t>(2 * batch_rows + 5,
+                                                   40005);
+    const Dataset big = MakeHiggs(rows, 23);
+    db_.StoreDataset("big_mem", big);
+    storage::StorageOptions options;
+    options.page_size = 1024;
+    options.pool_pages = 4;
+    db_.StoreDatasetPaged("big", big, (dir_ / "big.dbpages").string(),
+                          options);
+    const std::shared_ptr<storage::PagedTable>& store =
+        db_.GetTable("big").store();
+    ASSERT_NE(rows % store->rows_per_page(), 0u);
+
+    // kin_0 above its 97th percentile: most 8-row pages hold no such
+    // row, so zone pruning skips pages all through each batch.
+    std::vector<float> kin0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        kin0.push_back(big.At(r, 0));
+    }
+    std::sort(kin0.begin(), kin0.end());
+    const std::string p97 =
+        StrFormat("%.9g", static_cast<double>(kin0[rows * 97 / 100]));
+    const std::string p50 =
+        StrFormat("%.9g", static_cast<double>(kin0[rows / 2]));
+
+    // Runs one query, built per table name by @p sql_for, on "big"
+    // through the optimized and naive plans and on "big_mem", and
+    // expects identical rows from all three.
+    struct Run {
+        std::shared_ptr<const plan::PhysicalPlan> plan;
+        std::shared_ptr<const plan::PhysicalPlan> mem_plan;
+        storage::StorageStats stats;
+    };
+    plan::Planner naive(db_, {/*optimize=*/false});
+    plan::Planner optimized(db_, {/*optimize=*/true});
+    auto check = [&](auto sql_for) {
+        const std::string sql = sql_for("big");
+        const std::string mem_sql = sql_for("big_mem");
+        const SelectStatement stmt = ParseSelect(sql);
+        Run run;
+        store->ResetStats();
+        run.plan = optimized.Plan(stmt, sql);
+        const QueryResult got = run.plan->Execute(db_);
+        run.stats = store->Stats();
+        ExpectSameResult(naive.ExecuteSelect(stmt, sql), got, sql);
+        run.mem_plan = optimized.Plan(ParseSelect(mem_sql), mem_sql);
+        EXPECT_EQ(run.mem_plan->Execute(db_).rows, got.rows) << sql;
+        return run;
+    };
+
+    // Zone-pruned scan: row ids jump inside and between batches.
+    const Run pruned = check([&](const std::string& t) {
+        return "SELECT kin_0, SCORE(m) FROM " + t + " WHERE kin_0 > " + p97;
+    });
+    EXPECT_GT(pruned.stats.pages_pruned, 0u);
+    EXPECT_GT(pruned.stats.pages_scanned, 0u);
+
+    // Plain predicate and projection on the label column, read through
+    // FloatAt with the mapped row id.
+    check([](const std::string& t) {
+        return "SELECT kin_0, label, SCORE(m) FROM " + t +
+               " WHERE label > 0.5";
+    });
+
+    // Two SCOREs, one over a reordered feature subset (gather path).
+    check([&](const std::string& t) {
+        return "SELECT SCORE(m), kin_1, SCORE(reg, kin_5, kin_0, kin_3, "
+               "kin_1, kin_4, kin_2) FROM " + t + " WHERE kin_0 > " + p50;
+    });
+
+    // COUNT through the early-exit kernel: every row reaches it once.
+    const Run counted = check([](const std::string& t) {
+        return "SELECT COUNT(*) FROM " + t +
+               " WHERE SCORE(reg, kin_0, kin_1, kin_2, kin_3, kin_4, "
+               "kin_5) > 0.5";
+    });
+    ASSERT_NE(counted.plan->scores()[0].threshold_kernel, nullptr);
+    EXPECT_EQ(counted.plan->threshold_stats().rows, rows);
+    EXPECT_EQ(counted.mem_plan->threshold_stats().rows, rows);
+
+    // sp_explain states the batch size.
+    bool explained = false;
+    for (const std::string& line : pruned.plan->ExplainPhysical()) {
+        explained |= line.find(StrFormat("batches of up to %zu row(s)",
+                                         batch_rows)) != std::string::npos;
+    }
+    EXPECT_TRUE(explained);
 }
 
 TEST_F(PlanTest, ScoreMatchesReferencePredictions)
