@@ -236,7 +236,7 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
                         cs.feature_idx.size() == num_features;
 
         // The expensive part the plan cache amortizes: blob ->
-        // TreeEnsemble -> RandomForest -> compiled kernel(s).
+        // TreeEnsemble -> RandomForest -> compiled kernel.
         TreeEnsemble ensemble = db.LoadModel(cs.expr.model);
         auto model = std::make_shared<RandomForest>(ensemble.ToForest());
         if (model->num_features() != cs.feature_cols.size()) {
@@ -255,14 +255,9 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
                 wants_early_exit = true;
             }
         }
-        if (wants_early_exit && cs.kernel != nullptr) {
-            ForestKernelOptions options;
-            options.version = KernelVersion::kV1;
-            options.autotune = false;
-            auto threshold = model->Kernel(options);
-            if (threshold->SupportsThresholdEarlyExit()) {
-                cs.threshold_kernel = std::move(threshold);
-            }
+        if (wants_early_exit && cs.kernel != nullptr &&
+            cs.kernel->SupportsThresholdEarlyExit()) {
+            cs.threshold_kernel = cs.kernel;
         }
         cs.model = std::move(model);
         scores_.push_back(std::move(cs));
@@ -862,23 +857,15 @@ PhysicalPlan::ExplainPhysical() const
 {
     std::vector<std::string> lines;
     for (const CompiledScore& cs : scores_) {
-        std::string kernel;
-        if (cs.kernel != nullptr) {
-            kernel = StrFormat(
-                "kernel v%d %s (%zu trees)",
-                static_cast<int>(cs.kernel->version()),
-                cs.kernel->mode() == KernelMode::kExact ? "exact"
-                                                        : "quantized",
-                cs.kernel->NumTrees());
-        } else {
-            kernel = "scalar reference (kernel unsupported)";
-        }
+        const std::string kernel =
+            cs.kernel != nullptr
+                ? StrFormat("kernel (%zu trees)", cs.kernel->NumTrees())
+                : std::string("scalar reference (kernel unsupported)");
         lines.push_back(StrFormat(
             "%s: %s%s", ScoreExprToString(cs.expr).c_str(),
             kernel.c_str(),
-            cs.threshold_kernel != nullptr
-                ? ", threshold kernel v1 [early-exit]"
-                : ""));
+            cs.threshold_kernel != nullptr ? ", threshold early-exit"
+                                           : ""));
     }
     if (logical_.table_paged && uses_score()) {
         lines.push_back(StrFormat(

@@ -1,17 +1,17 @@
 #include "dbscore/forest/forest_kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <string>
 
 #include "dbscore/common/error.h"
 #include "dbscore/common/thread_pool.h"
 #include "dbscore/forest/forest.h"
-#include "dbscore/forest/forest_kernel_v2.h"
 #include "dbscore/forest/gbdt.h"
-#include "dbscore/forest/kernel_autotune.h"
 #include "dbscore/forest/simd.h"
 #include "dbscore/trace/trace.h"
 
@@ -19,60 +19,200 @@ namespace dbscore {
 
 namespace {
 
-/**
- * Rows traversed concurrently per tree in the v1 scalar loop. Each
- * lane is an independent dependence chain of node loads, so the
- * out-of-order core keeps this many traversals in flight — the main
- * lever against the load latency that dominates pointer-chasing
- * inference. Compile-time so the lane state lives in registers.
- */
-constexpr std::size_t kTraversalLanes = 16;
+/** Bits of the packed meta word holding the tree-local left id. */
+constexpr int kLeftBits = 17;
+constexpr std::int32_t kLeftMask = (1 << kLeftBits) - 1;
+/** Largest tree (nodes) and feature id the packed word can address. */
+constexpr std::size_t kMaxTreeNodes = std::size_t{1} << kLeftBits;
+constexpr std::size_t kMaxFeature = 32767;
+
+/** Packs one node: threshold bits low, meta word high. */
+std::uint64_t
+PackNode(float threshold, std::int32_t meta)
+{
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(meta))
+            << 32) |
+           std::bit_cast<std::uint32_t>(threshold);
+}
 
 /**
- * Walks one tree for a group of kLanes rows, leaving each lane's final
- * (leaf) node index in @p n. Exactly @p depth branchless steps per
- * lane: leaves self-loop via {+inf, left = self}, so rows that bottom
- * out early spin in place from L1, and the level loop breaks once
- * every lane has parked. The step left + !(x <= t) matches the
- * reference "x <= t goes left, else (including NaN) right" bit for
- * bit.
+ * Base rows per scalar traversal group. Each lane is an independent
+ * dependence chain of node loads, so the out-of-order core keeps this
+ * many traversals in flight — the main lever against the load latency
+ * that dominates pointer-chasing inference. The autotuner may widen
+ * this to 32 or 64 rows (groups 2/4) when the model spills out of
+ * cache and the extra in-flight loads pay.
  */
-template <std::size_t kLanes, typename NodeT>
+constexpr std::size_t kScalarLanes = 16;
+
+/**
+ * Scalar traversal: kLanes rows through one tree, leaving each lane's
+ * final (leaf) node index, tree-local, in @p n. At most @p depth
+ * branchless steps per lane: leaves self-loop via {+inf, left = self},
+ * so rows that bottom out early spin in place from L1, and the level
+ * loop breaks once every lane has parked. The step left + !(x <= t)
+ * matches the reference "x <= t goes left, else (including NaN) right"
+ * bit for bit.
+ */
+template <std::size_t kLanes>
 inline void
-TraverseGroup(const NodeT* nodes, std::int32_t root, std::int32_t depth,
-              const float* const* rowp, std::int32_t* n)
+TraverseExactScalar(const std::uint64_t* enode, std::int32_t base,
+                    std::int32_t depth, const float* const* rowp,
+                    std::int32_t* n)
 {
+    // Two narrow loads per node instead of one u64 load: the threshold
+    // goes straight to an FP register and the meta half to a GPR, so no
+    // shift-and-transfer uops sit on the compare's critical path.
+    const auto* fp = reinterpret_cast<const float*>(enode + base);
+    const auto* mp =
+        reinterpret_cast<const std::uint32_t*>(enode + base) + 1;
     for (std::size_t k = 0; k < kLanes; ++k) {
-        n[k] = root;
+        n[k] = 0;
     }
     for (std::int32_t d = 0; d < depth; ++d) {
         std::int32_t moved = 0;
         for (std::size_t k = 0; k < kLanes; ++k) {
-            const NodeT nd = nodes[n[k]];
+            const std::int32_t n2 = 2 * n[k];
+            const float t = fp[n2];
+            const std::uint32_t meta = mp[n2];
+            const auto feat = meta >> kLeftBits;
+            const auto left = static_cast<std::int32_t>(meta) & kLeftMask;
             const std::int32_t next =
-                nd.left + static_cast<std::int32_t>(
-                              !(rowp[k][nd.feature] <= nd.threshold));
+                left + static_cast<std::int32_t>(!(rowp[k][feat] <= t));
             moved |= next ^ n[k];
             n[k] = next;
         }
-        // All lanes parked on their self-looping leaves: the remaining
-        // fixed-trip levels would be no-ops. Pays off on shallow
-        // ensembles (IRIS) where the average path is much shorter than
-        // the deepest one.
         if (moved == 0) {
             break;
         }
     }
 }
 
+/**
+ * SIMD traversal: G interleaved groups of simd::kWidth rows through
+ * one tree. Each step gathers the node's threshold and meta halves
+ * (indices 2n and 2n+1 of the interleaved pool, so both land on the
+ * node's one cache line), gathers one feature per lane from the
+ * strided row base, and blends the descend as integer mask arithmetic:
+ * CmpNotLe yields -1 where the row goes right, so next = left - mask.
+ * Interleaving G groups keeps 3G gathers in flight per step, hiding
+ * gather latency on one core. Leaves ({+inf, left = self}) keep every
+ * non-NaN lane parked, and the level loop breaks once all G groups
+ * stop moving.
+ */
+template <int G>
+DBSCORE_SIMD_FN void
+TraverseExactSimd(const std::uint64_t* enode, std::int32_t base,
+                  std::int32_t depth, const float* rows,
+                  std::int32_t stride, std::int32_t* leaves)
+{
+    using namespace simd;
+    // Pre-offset both gather bases by the tree root (and the meta base
+    // by its in-node position), so the hot loop computes only 2n.
+    const auto* fbase = reinterpret_cast<const float*>(enode + base);
+    const auto* ibase =
+        reinterpret_cast<const std::int32_t*>(enode + base) + 1;
+    const VI rowoff = Iota(stride);
+    const VI vmask = Set1(kLeftMask);
+    VI n[G];
+    const float* rbase[G];
+    for (int g = 0; g < G; ++g) {
+        n[g] = Set1(0);
+        rbase[g] = rows + static_cast<std::size_t>(g) * kWidth *
+                              static_cast<std::size_t>(stride);
+    }
+    for (std::int32_t d = 0; d < depth; ++d) {
+        // One accumulated motion mask per level replaces a per-group
+        // movemask: parked lanes contribute all-zero next ^ n.
+        VI motion = Set1(0);
+        for (int g = 0; g < G; ++g) {
+            const VI n2 = Add(n[g], n[g]);
+            const VF t = GatherF32(fbase, n2);
+            const VI w = GatherI32(ibase, n2);
+            const VI feat = Srl(w, kLeftBits);
+            const VI left = And(w, vmask);
+            const VF x = GatherF32(rbase[g], Add(rowoff, feat));
+            const VI next = Sub(left, CmpNotLe(x, t));
+            motion = Or(motion, Xor(next, n[g]));
+            n[g] = next;
+        }
+        if (!AnyNonZero(motion)) {
+            break;
+        }
+    }
+    for (int g = 0; g < G; ++g) {
+        Store(leaves + static_cast<std::size_t>(g) * kWidth, n[g]);
+    }
+}
+
+/** Dispatches the group-count template parameter (G in {1, 2, 4, 8}). */
+DBSCORE_SIMD_FN void
+RunExactSimd(std::size_t groups, const std::uint64_t* enode,
+             std::int32_t base, std::int32_t depth, const float* rows,
+             std::int32_t stride, std::int32_t* leaves)
+{
+    switch (groups) {
+    case 1:
+        TraverseExactSimd<1>(enode, base, depth, rows, stride, leaves);
+        break;
+    case 2:
+        TraverseExactSimd<2>(enode, base, depth, rows, stride, leaves);
+        break;
+    case 8:
+        TraverseExactSimd<8>(enode, base, depth, rows, stride, leaves);
+        break;
+    default:
+        TraverseExactSimd<4>(enode, base, depth, rows, stride, leaves);
+        break;
+    }
+}
+
+/**
+ * Scalar loop over full L-row groups starting at row @p r, trees
+ * [@p first_tree, @p end_tree) per group; returns the first row not
+ * covered, which the caller finishes with L = 1.
+ */
+template <std::size_t L, typename Visit>
+std::size_t
+WalkScalarGroups(const std::uint64_t* enode, const std::int32_t* roots,
+                 const std::int32_t* depths, std::size_t first_tree,
+                 std::size_t end_tree, const float* rows,
+                 std::size_t num_rows, std::size_t stride, std::size_t r,
+                 Visit& visit)
+{
+    for (; r + L <= num_rows; r += L) {
+        const float* rowp[L];
+        for (std::size_t i = 0; i < L; ++i) {
+            rowp[i] = rows + (r + i) * stride;
+        }
+        for (std::size_t t = first_tree; t < end_tree; ++t) {
+            const std::int32_t base = roots[t];
+            std::int32_t n[L];
+            TraverseExactScalar<L>(enode, base, depths[t], rowp, n);
+            for (std::size_t i = 0; i < L; ++i) {
+                visit(r + i, base + n[i]);
+            }
+        }
+    }
+    return r;
+}
+
 bool
 EnsembleSupported(const std::vector<DecisionTree>& trees,
                   std::size_t num_features)
 {
-    // Feature ids are stored as int16 in the compiled v1 pool and as a
-    // 15-bit field in the packed v2 word.
-    return !trees.empty() && num_features <= kV2MaxFeature;
+    if (trees.empty() || num_features > kMaxFeature) {
+        return false;
+    }
+    // Tree-local left indices must fit the packed 17-bit field.
+    return std::all_of(trees.begin(), trees.end(),
+                       [](const DecisionTree& tree) {
+                           return tree.NumNodes() <= kMaxTreeNodes;
+                       });
 }
+
+constexpr const char* kUnsupportedReason =
+    "(empty, over 32767 features, or a tree over 2^17 nodes)";
 
 }  // namespace
 
@@ -99,8 +239,9 @@ ForestKernel::ForestKernel(const RandomForest& forest,
                    : KernelCombine::kMeanRegress)
 {
     if (!Supports(forest)) {
-        throw InvalidArgument("forest kernel: unsupported forest "
-                              "(empty, or features exceed int16)");
+        throw InvalidArgument(std::string("forest kernel: unsupported "
+                                          "forest ") +
+                              kUnsupportedReason);
     }
     Compile(forest.trees());
 }
@@ -117,8 +258,9 @@ ForestKernel::ForestKernel(const GradientBoostedModel& gbdt,
       scale_(gbdt.learning_rate())
 {
     if (!Supports(gbdt)) {
-        throw InvalidArgument("forest kernel: unsupported gbdt "
-                              "(empty, or features exceed int16)");
+        throw InvalidArgument(std::string("forest kernel: unsupported "
+                                          "gbdt ") +
+                              kUnsupportedReason);
     }
     // Margin kernels accumulate sums; the class decision happens in
     // the combiner, so no per-leaf class table is needed.
@@ -126,17 +268,11 @@ ForestKernel::ForestKernel(const GradientBoostedModel& gbdt,
     Compile(gbdt.trees());
 }
 
-ForestKernel::~ForestKernel() = default;
-
 void
 ForestKernel::Compile(const std::vector<DecisionTree>& trees)
 {
     if (options_.row_block == 0 || options_.tile_node_budget == 0) {
         throw InvalidArgument("forest kernel: zero row_block/tile budget");
-    }
-    if (options_.mode == KernelMode::kQuantized &&
-        options_.version == KernelVersion::kV1) {
-        throw InvalidArgument("forest kernel: quantized mode needs v2");
     }
 
     // Attribute compilation (the serve path's model prewarming pays
@@ -145,18 +281,6 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
     const auto build_start = std::chrono::steady_clock::now();
     trace::ScopedSpan span(trace::StageKind::kKernelBuild, "kernel-build");
     span.AddAttr("trees", static_cast<double>(trees.size()));
-    span.AddAttr("version",
-                 options_.version == KernelVersion::kV2 ? 2.0 : 1.0);
-
-    version_ = options_.version;
-    mode_ = options_.mode;
-    if (version_ == KernelVersion::kV2 &&
-        !V2Supported(trees, num_features_)) {
-        // Oversized trees cannot use tree-local left indices; the v1
-        // layout handles them with absolute 32-bit children.
-        version_ = KernelVersion::kV1;
-        mode_ = KernelMode::kExact;
-    }
 
     std::size_t total_nodes = 0;
     for (const auto& tree : trees) {
@@ -167,35 +291,26 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
     const bool vote = combine_ == KernelCombine::kVoteClassify;
     roots_.reserve(trees.size());
     depths_.reserve(trees.size());
+    enode_.reserve(total_nodes);
     value_.reserve(total_nodes);
     if (vote) {
         leaf_class_.reserve(total_nodes);
     }
-    if (version_ == KernelVersion::kV1) {
-        nodes_.reserve(total_nodes);
-    } else {
-        v2_ = std::make_unique<KernelV2Plan>();
-        v2_->mode = mode_;
-        if (mode_ == KernelMode::kQuantized) {
-            v2_->InitQuantization(trees, num_features_);
-        } else {
-            v2_->enode.reserve(total_nodes);
-        }
-        v2_->tune_lo.assign(num_features_, 0.0f);
-        v2_->tune_hi.assign(num_features_, 1.0f);
-    }
+    // Per-feature threshold range, for the autotuner's sample rows.
+    std::vector<float> tune_lo(num_features_, 0.0f);
+    std::vector<float> tune_hi(num_features_, 1.0f);
 
     std::vector<std::int32_t> order;
     std::vector<std::int32_t> new_id;
     std::vector<bool> range_seen(num_features_, false);
     // Per-tree leaf-value range, feeding the threshold early-exit
-    // suffix bounds (v1 accumulate combines only).
+    // suffix bounds (accumulate combines only).
     std::vector<double> tree_leaf_lo;
     std::vector<double> tree_leaf_hi;
     tree_leaf_lo.reserve(trees.size());
     tree_leaf_hi.reserve(trees.size());
     for (const auto& tree : trees) {
-        const auto base = static_cast<std::int32_t>(num_nodes_);
+        const auto base = static_cast<std::int32_t>(enode_.size());
         roots_.push_back(base);
         depths_.push_back(static_cast<std::int32_t>(tree.Depth()));
         double leaf_lo = std::numeric_limits<double>::infinity();
@@ -223,26 +338,16 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
         }
 
         for (std::int32_t node : order) {
-            const auto local =
-                static_cast<std::int32_t>(num_nodes_) - base;
+            const auto local = static_cast<std::int32_t>(enode_.size()) - base;
             if (tree.IsLeaf(node)) {
                 const float value = tree.LeafValue(node);
                 leaf_lo = std::min(leaf_lo, static_cast<double>(value));
                 leaf_hi = std::max(leaf_hi, static_cast<double>(value));
-                // {+inf, self, 0}: the branchless step re-evaluates
-                // the leaf harmlessly (anything <= +inf stays at
+                // {+inf, self}: the branchless step re-evaluates the
+                // leaf harmlessly (anything <= +inf stays at
                 // left = self) until the fixed trip count runs out.
-                if (version_ == KernelVersion::kV1) {
-                    nodes_.push_back(
-                        {std::numeric_limits<float>::infinity(),
-                         base + local, 0});
-                } else if (mode_ == KernelMode::kQuantized) {
-                    v2_->qmeta.push_back(local);
-                    v2_->qcut.push_back(kV2LeafCut);
-                } else {
-                    v2_->enode.push_back(V2PackExact(
-                        std::numeric_limits<float>::infinity(), local));
-                }
+                enode_.push_back(
+                    PackNode(std::numeric_limits<float>::infinity(), local));
                 value_.push_back(value);
                 if (vote) {
                     const auto cls =
@@ -253,7 +358,7 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
             } else {
                 const std::int32_t f = tree.Feature(node);
                 DBS_ASSERT(f >= 0 &&
-                           static_cast<std::size_t>(f) <= kV2MaxFeature);
+                           static_cast<std::size_t>(f) <= kMaxFeature);
                 const std::int32_t left =
                     new_id[static_cast<std::size_t>(tree.Left(node))];
                 DBS_ASSERT_MSG(
@@ -261,42 +366,27 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
                         left + 1,
                     "forest kernel: BFS siblings must be adjacent");
                 const float t = tree.Threshold(node);
-                if (version_ == KernelVersion::kV1) {
-                    nodes_.push_back(
-                        {t, base + left, static_cast<std::int16_t>(f)});
+                enode_.push_back(PackNode(t, (f << kLeftBits) | left));
+                auto& lo = tune_lo[static_cast<std::size_t>(f)];
+                auto& hi = tune_hi[static_cast<std::size_t>(f)];
+                if (!range_seen[static_cast<std::size_t>(f)]) {
+                    range_seen[static_cast<std::size_t>(f)] = true;
+                    lo = hi = t;
                 } else {
-                    const std::int32_t packed =
-                        (f << kV2LeftBits) | left;
-                    if (mode_ == KernelMode::kQuantized) {
-                        v2_->qmeta.push_back(packed);
-                        v2_->qcut.push_back(v2_->CutFor(
-                            static_cast<std::size_t>(f), t));
-                    } else {
-                        v2_->enode.push_back(V2PackExact(t, packed));
-                    }
-                    auto& lo = v2_->tune_lo[static_cast<std::size_t>(f)];
-                    auto& hi = v2_->tune_hi[static_cast<std::size_t>(f)];
-                    if (!range_seen[static_cast<std::size_t>(f)]) {
-                        range_seen[static_cast<std::size_t>(f)] = true;
-                        lo = hi = t;
-                    } else {
-                        lo = std::min(lo, t);
-                        hi = std::max(hi, t);
-                    }
+                    lo = std::min(lo, t);
+                    hi = std::max(hi, t);
                 }
                 value_.push_back(0.0f);
                 if (vote) {
                     leaf_class_.push_back(0);
                 }
             }
-            ++num_nodes_;
         }
         tree_leaf_lo.push_back(leaf_lo);
         tree_leaf_hi.push_back(leaf_hi);
     }
 
-    if (version_ == KernelVersion::kV1 &&
-        combine_ != KernelCombine::kVoteClassify) {
+    if (!vote) {
         // Suffix bounds on the remaining-tree contribution: after t
         // trees the final sum lies in
         // [sum + suffix_min_[t], sum + suffix_max_[t]] up to rounding
@@ -317,50 +407,27 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
         }
     }
 
-    if (v2_) {
-        if (mode_ == KernelMode::kQuantized) {
-            // Pad for the shim's scale-2 u16 gather over-read.
-            v2_->qcut.push_back(0);
-        }
-        v2_->row_block = options_.row_block;
-        v2_->tile_node_budget = options_.tile_node_budget;
-        AutotuneV2(*this, *v2_, options_);
-        v2_->Retile(*this);
-    } else {
-        // Partition consecutive trees into tiles whose pooled nodes fit
-        // the cache budget, so one tile stays resident while a row block
-        // traverses it. A single oversized tree still gets its own tile.
-        std::size_t tile_start = 0;
-        std::size_t tile_nodes = 0;
-        for (std::size_t t = 0; t < trees.size(); ++t) {
-            const std::size_t nodes = trees[t].NumNodes();
-            if (t > tile_start &&
-                tile_nodes + nodes > options_.tile_node_budget) {
-                tiles_.push_back({tile_start, t});
-                tile_start = t;
-                tile_nodes = 0;
-            }
-            tile_nodes += nodes;
-        }
-        tiles_.push_back({tile_start, trees.size()});
-    }
+    Autotune(tune_lo, tune_hi);
 
-    // Every build path (v1, v2 exact, v2 quantized) ends here.
+    // Tiles: consecutive trees whose pooled nodes fit the tuned budget;
+    // a single oversized tree still gets its own tile.
+    std::size_t tile_start = 0;
+    std::size_t tile_nodes = 0;
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+        const std::size_t nodes = trees[t].NumNodes();
+        if (t > tile_start &&
+            tile_nodes + nodes > tuning_.tile_node_budget) {
+            tiles_.push_back({tile_start, t});
+            tile_start = t;
+            tile_nodes = 0;
+        }
+        tile_nodes += nodes;
+    }
+    tiles_.push_back({tile_start, trees.size()});
+
     build_wall_ms_ = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - build_start)
                          .count();
-}
-
-std::size_t
-ForestKernel::NumTiles() const
-{
-    return v2_ ? v2_->tiles.size() : tiles_.size();
-}
-
-bool
-ForestKernel::simd_active() const
-{
-    return v2_ != nullptr && v2_->use_simd;
 }
 
 const char*
@@ -370,86 +437,131 @@ ForestKernel::SimdBackend()
 }
 
 std::size_t
-ForestKernel::simd_groups() const
-{
-    return simd_active() ? v2_->groups : 0;
-}
-
-std::size_t
 ForestKernel::tuned_lane_rows() const
 {
-    return v2_ ? v2_->GroupRows() : kTraversalLanes;
+    // The scalar loop widths top out at 64 lanes (groups 4).
+    return tuning_.use_simd
+               ? tuning_.groups * simd::kWidth
+               : kScalarLanes * std::min<std::size_t>(tuning_.groups, 4);
 }
 
-std::size_t
-ForestKernel::tuned_row_block() const
+template <typename Visit>
+void
+ForestKernel::Walk(const float* rows, std::size_t num_rows,
+                   std::size_t stride, std::size_t first_tree,
+                   std::size_t end_tree, std::int32_t* leaves,
+                   Visit visit) const
 {
-    return v2_ ? v2_->row_block : options_.row_block;
-}
-
-std::size_t
-ForestKernel::tuned_tile_node_budget() const
-{
-    return v2_ ? v2_->tile_node_budget : options_.tile_node_budget;
-}
-
-bool
-ForestKernel::autotuned() const
-{
-    return v2_ != nullptr && v2_->autotuned;
-}
-
-bool
-ForestKernel::quant_exact() const
-{
-    return v2_ != nullptr && mode_ == KernelMode::kQuantized &&
-           v2_->quant_exact;
-}
-
-std::size_t
-ForestKernel::quant_max_bins() const
-{
-    return v2_ ? v2_->max_bins : 0;
+    const std::uint64_t* const enode = enode_.data();
+    const std::int32_t* const roots = roots_.data();
+    const std::int32_t* const depths = depths_.data();
+    // Row groups outer, trees inner: a group's feature rows stay hot in
+    // L1 across every tree, and each row meets the trees in ensemble
+    // order.
+    std::size_t r = 0;
+    if (tuning_.use_simd) {
+        const std::size_t grows = tuned_lane_rows();
+        const auto sstride = static_cast<std::int32_t>(stride);
+        for (; r + grows <= num_rows; r += grows) {
+            for (std::size_t t = first_tree; t < end_tree; ++t) {
+                const std::int32_t base = roots[t];
+                RunExactSimd(tuning_.groups, enode, base, depths[t],
+                             rows + r * stride, sstride, leaves);
+                for (std::size_t i = 0; i < grows; ++i) {
+                    visit(r + i, base + leaves[i]);
+                }
+            }
+        }
+    } else {
+        switch (tuning_.groups) {
+        case 1:
+            r = WalkScalarGroups<kScalarLanes>(enode, roots, depths,
+                                               first_tree, end_tree, rows,
+                                               num_rows, stride, r, visit);
+            break;
+        case 2:
+            r = WalkScalarGroups<2 * kScalarLanes>(
+                enode, roots, depths, first_tree, end_tree, rows, num_rows,
+                stride, r, visit);
+            break;
+        default:
+            r = WalkScalarGroups<4 * kScalarLanes>(
+                enode, roots, depths, first_tree, end_tree, rows, num_rows,
+                stride, r, visit);
+            break;
+        }
+    }
+    WalkScalarGroups<1>(enode, roots, depths, first_tree, end_tree, rows,
+                        num_rows, stride, r, visit);
 }
 
 void
-ForestKernel::FinishSums(const double* sums, std::size_t num_rows,
-                         float* out) const
+ForestKernel::RunStrided(const float* rows, std::size_t num_rows,
+                         std::size_t stride, float* out,
+                         Scratch& scratch) const
 {
-    switch (combine_) {
-    case KernelCombine::kMeanRegress: {
-        const auto trees = static_cast<double>(roots_.size());
-        for (std::size_t i = 0; i < num_rows; ++i) {
-            out[i] = static_cast<float>(sums[i] / trees);
+    const std::size_t row_block = tuning_.row_block;
+    const auto num_classes = static_cast<std::size_t>(num_classes_);
+    const bool vote = combine_ == KernelCombine::kVoteClassify;
+    if (vote) {
+        if (scratch.counts.size() < row_block * num_classes) {
+            scratch.counts.resize(row_block * num_classes);
         }
-        break;
+    } else if (scratch.sums.size() < row_block) {
+        scratch.sums.resize(row_block);
     }
-    case KernelCombine::kMargin:
-        for (std::size_t i = 0; i < num_rows; ++i) {
-            out[i] = static_cast<float>(sums[i]);
+    if (scratch.leaves.size() < tuned_lane_rows()) {
+        scratch.leaves.resize(tuned_lane_rows());
+    }
+    std::int32_t* const leaves = scratch.leaves.data();
+    const std::int32_t* const cls = leaf_class_.data();
+    const float* const val = value_.data();
+    const double scale = scale_;
+
+    for (std::size_t begin = 0; begin < num_rows; begin += row_block) {
+        const std::size_t block = std::min(row_block, num_rows - begin);
+        const float* block_rows = rows + begin * stride;
+        if (vote) {
+            std::int32_t* const counts = scratch.counts.data();
+            std::fill(counts, counts + block * num_classes, 0);
+            Walk(block_rows, block, stride, 0, NumTrees(), leaves,
+                 [&](std::size_t row, std::int32_t leaf) {
+                     ++counts[row * num_classes +
+                              static_cast<std::size_t>(cls[leaf])];
+                 });
+            for (std::size_t i = 0; i < block; ++i) {
+                const std::int32_t* c = counts + i * num_classes;
+                std::size_t best = 0;
+                for (std::size_t j = 1; j < num_classes; ++j) {
+                    // Strict > keeps the lowest class id on ties,
+                    // exactly like MajorityVote.
+                    if (c[j] > c[best]) {
+                        best = j;
+                    }
+                }
+                out[begin + i] = static_cast<float>(best);
+            }
+        } else {
+            double* const sums = scratch.sums.data();
+            std::fill(sums, sums + block, init_);
+            Walk(block_rows, block, stride, 0, NumTrees(), leaves,
+                 [&](std::size_t row, std::int32_t leaf) {
+                     sums[row] += scale * val[leaf];
+                 });
+            for (std::size_t i = 0; i < block; ++i) {
+                out[begin + i] = FinishOne(sums[i]);
+            }
         }
-        break;
-    case KernelCombine::kMarginClassify:
-        for (std::size_t i = 0; i < num_rows; ++i) {
-            out[i] = static_cast<float>(GradientBoostedModel::MarginToClass(
-                static_cast<float>(sums[i])));
-        }
-        break;
-    case KernelCombine::kVoteClassify:
-        DBS_ASSERT_MSG(false, "vote kernels do not accumulate sums");
-        break;
     }
 }
 
 float
 ForestKernel::FinishOne(double sum) const
 {
-    // Must mirror FinishSums exactly: the threshold path's full-finish
-    // rows are bit-identical to a Predict() of the same row. Every
-    // branch is monotone non-decreasing in the sum (float cast and
-    // division by a positive count are correctly rounded; the sigmoid
-    // + 0.5 threshold in MarginToClass is monotone), which is what
-    // lets interval endpoints decide the predicate.
+    // Every branch is monotone non-decreasing in the sum (float cast
+    // and division by a positive count are correctly rounded; the
+    // sigmoid + 0.5 threshold in MarginToClass is monotone), which is
+    // what lets interval endpoints decide the threshold predicate.
     switch (combine_) {
     case KernelCombine::kMeanRegress:
         return static_cast<float>(sum /
@@ -511,8 +623,7 @@ constexpr std::size_t kThresholdCheckTrees = 8;
 bool
 ForestKernel::SupportsThresholdEarlyExit() const
 {
-    return v2_ == nullptr && combine_ != KernelCombine::kVoteClassify &&
-           !suffix_min_.empty();
+    return combine_ != KernelCombine::kVoteClassify;
 }
 
 void
@@ -530,6 +641,9 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
     if (scratch.active.size() < num_rows) {
         scratch.active.resize(num_rows);
     }
+    if (scratch.leaves.size() < tuned_lane_rows()) {
+        scratch.leaves.resize(tuned_lane_rows());
+    }
     double* const sums = scratch.sums.data();
     std::int32_t* const active = scratch.active.data();
     for (std::size_t i = 0; i < num_rows; ++i) {
@@ -537,8 +651,11 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
         active[i] = static_cast<std::int32_t>(i);
     }
     std::size_t live = num_rows;
+    // The segment's rows: the caller's (possibly strided) rows until a
+    // checkpoint decides some, then a dense copy of the survivors.
+    const float* seg_rows = rows;
+    std::size_t seg_stride = stride;
 
-    const Node* const nodes = nodes_.data();
     const float* const val = value_.data();
     const double scale = scale_;
 
@@ -546,35 +663,14 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
     while (live > 0 && t0 < num_trees) {
         const std::size_t t1 =
             std::min(num_trees, t0 + kThresholdCheckTrees);
-        // Accumulate trees [t0, t1) over the surviving rows, in the
-        // same 16-lane groups as RunBlockAccumulate — tree order per
-        // row is preserved, so a row that survives to the end carries
-        // exactly the sum the full pass would have computed.
-        std::size_t r = 0;
-        for (; r + kTraversalLanes <= live; r += kTraversalLanes) {
-            const float* rowp[kTraversalLanes];
-            for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                rowp[k] =
-                    rows + static_cast<std::size_t>(active[r + k]) * stride;
-            }
-            for (std::size_t t = t0; t < t1; ++t) {
-                std::int32_t n[kTraversalLanes];
-                TraverseGroup<kTraversalLanes>(
-                    nodes, roots_[t], depths_[t], rowp, n);
-                for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                    sums[r + k] += scale * val[n[k]];
-                }
-            }
-        }
-        for (; r < live; ++r) {
-            const float* rowp[1] = {
-                rows + static_cast<std::size_t>(active[r]) * stride};
-            for (std::size_t t = t0; t < t1; ++t) {
-                std::int32_t n[1];
-                TraverseGroup<1>(nodes, roots_[t], depths_[t], rowp, n);
-                sums[r] += scale * val[n[0]];
-            }
-        }
+        // Accumulate trees [t0, t1) over the surviving rows with the
+        // tuned inner loop. Tree order per row is preserved, so a row
+        // that survives to the end carries exactly the sum the full
+        // pass would have computed.
+        Walk(seg_rows, live, seg_stride, t0, t1, scratch.leaves.data(),
+             [&](std::size_t row, std::int32_t leaf) {
+                 sums[row] += scale * val[leaf];
+             });
         stats.tree_traversals += live * (t1 - t0);
         t0 = t1;
         if (t0 >= num_trees) {
@@ -588,7 +684,6 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
         // the suffix sums themselves.
         const double remaining = static_cast<double>(num_trees - t0);
         std::size_t w = 0;
-        std::uint64_t decided = 0;
         for (std::size_t i = 0; i < live; ++i) {
             const double s = sums[i];
             const double slack = 1e-15 * (remaining + 4.0) *
@@ -598,18 +693,33 @@ ForestKernel::RunThreshold(const float* rows, std::size_t num_rows,
             const int dec = DecideThreshold(op, threshold, glo, ghi);
             if (dec >= 0) {
                 keep[active[i]] = static_cast<std::uint8_t>(dec);
-                ++decided;
             } else {
                 active[w] = active[i];
                 sums[w] = s;
                 ++w;
             }
         }
-        stats.rows_decided_early += decided;
+        stats.rows_decided_early += live - w;
+        if (w < live) {
+            // Copy the survivors' features densely, so the next
+            // segment's groups read contiguous rows again.
+            const std::size_t cols = num_features_;
+            if (scratch.dense_rows.size() < w * cols) {
+                scratch.dense_rows.resize(num_rows * cols);
+            }
+            float* const dense = scratch.dense_rows.data();
+            for (std::size_t i = 0; i < w; ++i) {
+                const float* src =
+                    rows + static_cast<std::size_t>(active[i]) * stride;
+                std::copy(src, src + cols, dense + i * cols);
+            }
+            seg_rows = dense;
+            seg_stride = cols;
+        }
         live = w;
     }
 
-    // Rows that ran every tree finish exactly like FinishSums.
+    // Rows that ran every tree finish exactly like Predict().
     for (std::size_t i = 0; i < live; ++i) {
         keep[active[i]] = ThresholdHolds(op, threshold, FinishOne(sums[i]))
                               ? std::uint8_t{1}
@@ -630,8 +740,8 @@ ForestKernel::PredictThreshold(const RowView& rows, ThresholdOp op,
         return keep;
     }
     if (!SupportsThresholdEarlyExit()) {
-        // v2 plans and vote combiners: score fully, then compare.
-        // Exact, just without the skipped-tree savings.
+        // Vote combiners: score fully, then compare. Exact, just
+        // without the skipped-tree savings.
         const std::vector<float> preds = Predict(rows);
         for (std::size_t i = 0; i < num_rows; ++i) {
             keep[i] = ThresholdHolds(op, threshold, preds[i])
@@ -682,148 +792,6 @@ ForestKernel::PredictThreshold(const RowView& rows, ThresholdOp op,
         stats->tree_traversals_full += total.tree_traversals_full;
     }
     return keep;
-}
-
-void
-ForestKernel::RunBlockClassify(const float* rows, std::size_t num_rows,
-                               std::size_t stride, float* out,
-                               Scratch& scratch) const
-{
-    const Node* const nodes = nodes_.data();
-    const auto num_classes = static_cast<std::size_t>(num_classes_);
-    const std::int32_t* const cls = leaf_class_.data();
-    std::int32_t* const counts = scratch.counts.data();
-    std::fill(counts, counts + num_rows * num_classes, 0);
-
-    // Row-group outer, trees inner: row pointers are computed once per
-    // group and the group's feature rows stay hot in L1 across every
-    // tree, while a tile's nodes stay cache-resident across groups.
-    std::size_t r = 0;
-    for (; r + kTraversalLanes <= num_rows; r += kTraversalLanes) {
-        const float* rowp[kTraversalLanes];
-        for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-            rowp[k] = rows + (r + k) * stride;
-        }
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[kTraversalLanes];
-                TraverseGroup<kTraversalLanes>(nodes, roots_[t],
-                                               depths_[t], rowp, n);
-                for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                    ++counts[(r + k) * num_classes +
-                             static_cast<std::size_t>(cls[n[k]])];
-                }
-            }
-        }
-    }
-    for (; r < num_rows; ++r) {
-        const float* rowp[1] = {rows + r * stride};
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[1];
-                TraverseGroup<1>(nodes, roots_[t], depths_[t], rowp, n);
-                ++counts[r * num_classes +
-                         static_cast<std::size_t>(cls[n[0]])];
-            }
-        }
-    }
-    for (std::size_t i = 0; i < num_rows; ++i) {
-        const std::int32_t* c = counts + i * num_classes;
-        std::size_t best = 0;
-        for (std::size_t k = 1; k < num_classes; ++k) {
-            // Strict > keeps the lowest class id on ties, exactly like
-            // MajorityVote.
-            if (c[k] > c[best]) {
-                best = k;
-            }
-        }
-        out[i] = static_cast<float>(best);
-    }
-}
-
-void
-ForestKernel::RunBlockAccumulate(const float* rows, std::size_t num_rows,
-                                 std::size_t stride, float* out,
-                                 Scratch& scratch) const
-{
-    const Node* const nodes = nodes_.data();
-    const float* const val = value_.data();
-    const double scale = scale_;
-    double* const sums = scratch.sums.data();
-    std::fill(sums, sums + num_rows, init_);
-
-    // Trees iterate in ensemble order for every row (tiles cover
-    // consecutive trees), so each row's double sum accumulates in the
-    // reference order and the mean/margin is bit-identical to the
-    // scalar path.
-    std::size_t r = 0;
-    for (; r + kTraversalLanes <= num_rows; r += kTraversalLanes) {
-        const float* rowp[kTraversalLanes];
-        for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-            rowp[k] = rows + (r + k) * stride;
-        }
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[kTraversalLanes];
-                TraverseGroup<kTraversalLanes>(nodes, roots_[t],
-                                               depths_[t], rowp, n);
-                for (std::size_t k = 0; k < kTraversalLanes; ++k) {
-                    sums[r + k] += scale * val[n[k]];
-                }
-            }
-        }
-    }
-    for (; r < num_rows; ++r) {
-        const float* rowp[1] = {rows + r * stride};
-        for (const TreeTile& tile : tiles_) {
-            for (std::size_t t = tile.first_tree; t < tile.end_tree;
-                 ++t) {
-                std::int32_t n[1];
-                TraverseGroup<1>(nodes, roots_[t], depths_[t], rowp, n);
-                sums[r] += scale * val[n[0]];
-            }
-        }
-    }
-    FinishSums(sums, num_rows, out);
-}
-
-void
-ForestKernel::RunStrided(const float* rows, std::size_t num_rows,
-                         std::size_t stride, float* out,
-                         Scratch& scratch) const
-{
-    if (num_rows == 0) {
-        return;
-    }
-    if (v2_) {
-        v2_->RunStrided(*this, rows, num_rows, stride, out, scratch);
-        return;
-    }
-    if (combine_ == KernelCombine::kVoteClassify) {
-        const std::size_t need =
-            options_.row_block * static_cast<std::size_t>(num_classes_);
-        if (scratch.counts.size() < need) {
-            scratch.counts.resize(need);
-        }
-    } else if (scratch.sums.size() < options_.row_block) {
-        scratch.sums.resize(options_.row_block);
-    }
-
-    for (std::size_t begin = 0; begin < num_rows;
-         begin += options_.row_block) {
-        const std::size_t block =
-            std::min(options_.row_block, num_rows - begin);
-        if (combine_ == KernelCombine::kVoteClassify) {
-            RunBlockClassify(rows + begin * stride, block, stride,
-                             out + begin, scratch);
-        } else {
-            RunBlockAccumulate(rows + begin * stride, block, stride,
-                               out + begin, scratch);
-        }
-    }
 }
 
 void

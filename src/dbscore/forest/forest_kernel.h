@@ -1,58 +1,41 @@
 /**
  * @file
- * ForestKernel: a compiled, cache-blocked, allocation-free batch
- * inference plan for tree ensembles (random forests and GBDTs).
+ * ForestKernel: a compiled, allocation-free batch inference plan for
+ * tree ensembles (random forests and GBDTs).
  *
  * The reference RandomForest::Predict walks one tree at a time through
  * per-tree std::vector storage — five vector-header dereferences per
  * tree per row and a working set that revisits the whole ensemble for
- * every row. ForestKernel compiles the ensemble once into flat node
- * pools with every tree's nodes in level (BFS) order, so the first K
- * levels of a tree — the part every row traverses — occupy a
+ * every row. ForestKernel compiles the ensemble once into one flat
+ * node pool with every tree's nodes in level (BFS) order, so the first
+ * K levels of a tree — the part every row traverses — occupy a
  * contiguous prefix of its node range. BFS emits siblings adjacently,
  * so the right child is implicitly left + 1 and the descend step is
  * branchless integer arithmetic:
  * n = left[n] + !(row[feature[n]] <= threshold[n]), which matches the
  * reference "x <= t goes left, else (including NaN) right" exactly.
  *
- * Two compiled layouts are selectable through ForestKernelOptions:
+ * Each node is one interleaved 8-byte word ({f32 threshold} +
+ * {feat:15|left:17} packed i32 with a tree-local left index), laid out
+ * for SIMD gathers. The inner loop steps groups of rows per tree,
+ * either through the simd.h shim (AVX2/NEON/scalar; 8-row groups, a
+ * blended descend n = left - (x > t ? -1 : 0) as a SIMD mask subtract)
+ * or as 16/32/64 independent scalar lanes, with a whole-group early
+ * exit once every lane parks on its self-looping leaf. A build-time
+ * autotuner (see kernel_autotune.h) benchmarks (row_block,
+ * tile_node_budget, lane width) candidates on a deterministic
+ * synthetic sample and caches the winner per model shape.
  *
- *  - v1: packed 12-byte AoS nodes {f32 threshold, i32 absolute left,
- *    i16 feature}, traversed 16 scalar rows per tree (independent
- *    dependence chains held in registers).
- *  - v2 (default): structure-of-arrays nodes built for SIMD gathers —
- *    8 bytes/node exact ({f32 threshold} + {feat:15|left:17} packed
- *    i32 with tree-local left indices), 6 bytes/node quantized
- *    ({feat:15|left:17} + u16 threshold bin rank, with rows pre-binned
- *    once per block so traversal compares integers). The inner loop
- *    steps groups of 8 rows per tree through the simd.h shim
- *    (AVX2/NEON/scalar): gathered node loads, a blended descend
- *    (n = left - (x > t ? -1 : 0) as a SIMD mask subtract), and a
- *    whole-group early exit once every lane parks on its self-looping
- *    leaf. A build-time autotuner (see kernel_autotune.h) benchmarks
- *    (row_block, tile_node_budget, lane width) candidates on a
- *    deterministic synthetic sample and caches the winner per model
- *    shape, replacing the fixed LLC heuristic.
- *
- * Exact mode (v1 and v2) is bit-identical to the reference scalar
- * path: tree order within a row is preserved across tiles, so
- * regression sums (double accumulation in tree order) and
- * classification votes (integer counts, lowest-class-id tie break)
- * reproduce the reference exactly — tests assert this. Quantized mode
- * carries an epsilon-bounded prediction contract that degenerates to
- * bit-identity whenever every distinct threshold received its own bin
- * (quant_exact(), the common case): monotone binning with
- * rank-encoded cut points preserves every comparison outcome, see
- * DESIGN.md §13.
- *
- * Execution is tiled batch-major: blocks of R rows x T trees, with the
- * tree tile sized so its nodes stay resident in the last-level cache
- * while all R rows traverse it. Traversal is fixed-trip: a leaf is
- * {threshold = +inf (bin 0xFFFF quantized), left = self}, so the
- * branchless step is a no-op once a row bottoms out and a tree of
- * depth D is walked with exactly D steps and no leaf test. Votes and
- * sums accumulate into a caller-owned reusable Scratch, so
- * steady-state Run() performs zero heap allocations.
+ * Predictions are bit-identical to the reference scalar path: every
+ * row visits the trees in ensemble order, so regression sums (double
+ * accumulation in tree order) and classification votes (integer
+ * counts, lowest-class-id tie break) reproduce the reference exactly —
+ * tests assert this. Traversal is fixed-trip: a leaf is
+ * {threshold = +inf, left = self}, so the branchless step is a no-op
+ * once a row bottoms out and a tree of depth D is walked with at most
+ * D steps and no leaf test. Votes and sums accumulate into a
+ * caller-owned reusable Scratch, so steady-state Run() performs zero
+ * heap allocations.
  *
  * Wall-clock only: the kernel changes how fast functional predictions
  * are computed, never the simulated OffloadBreakdown latencies (see
@@ -64,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dbscore/data/dataset.h"
@@ -74,21 +56,8 @@ namespace dbscore {
 class RandomForest;
 class GradientBoostedModel;
 class DecisionTree;
-struct KernelV2Plan;
 
-/** Compiled node layout generation. */
-enum class KernelVersion : std::uint8_t {
-    kV1 = 1,  ///< 12-byte AoS nodes, scalar 16-lane traversal
-    kV2 = 2,  ///< SoA 8/6-byte nodes, SIMD 8-lane groups + autotune
-};
-
-/** Threshold representation of the compiled plan. */
-enum class KernelMode : std::uint8_t {
-    kExact,      ///< f32 thresholds; bit-identical to the reference
-    kQuantized,  ///< u16 bin ranks + pre-binned rows (v2 only)
-};
-
-/** Traversal inner-loop selection (v2 only; v1 is always scalar). */
+/** Traversal inner-loop selection. */
 enum class KernelLanes : std::uint8_t {
     kAuto,    ///< autotuner (or heuristic) picks scalar vs SIMD
     kScalar,  ///< force the scalar 16-lane loop
@@ -101,13 +70,11 @@ enum class KernelLanes : std::uint8_t {
  * requests with different options never share a stale plan.
  */
 struct ForestKernelOptions {
-    /** Rows per traversal tile (v2 kAuto: autotuner may override). */
+    /** Rows per traversal block (kAuto: autotuner may override). */
     std::size_t row_block = 64;
     /**
-     * Upper bound on nodes per tree tile; sized so one tile's packed
-     * traversal nodes stay cache-resident while a row block traverses
-     * it. The default keeps a v1 tile near 0.75 MB (v2 kAuto: the
-     * autotuner may override).
+     * Upper bound on nodes per tree tile (kAuto: the autotuner may
+     * override).
      */
     std::size_t tile_node_budget = std::size_t{1} << 16;
     /**
@@ -115,21 +82,14 @@ struct ForestKernelOptions {
      * the shared ThreadPool; below 2x this count the batch runs inline.
      */
     std::size_t parallel_grain = 4096;
-
-    /** Layout generation; v2 falls back to v1 when unsupported. */
-    KernelVersion version = KernelVersion::kV2;
-    /** Threshold representation (quantized is v2-only). */
-    KernelMode mode = KernelMode::kExact;
-    /** Inner-loop selection (v2). */
+    /** Inner-loop selection. */
     KernelLanes lanes = KernelLanes::kAuto;
     /**
      * Benchmark (row_block, tile_node_budget, lane width) candidates
-     * at build time and adopt the winner (v2 + kAuto lanes only).
-     * Winners are cached process-wide per model shape.
+     * at build time and adopt the winner (kAuto lanes only). Winners
+     * are cached process-wide per model shape.
      */
     bool autotune = true;
-    /** Seed for the autotuner's synthetic sample rows. */
-    std::uint64_t autotune_seed = 42;
     /** SIMD row groups (of 8) in flight per tree; 0 = tuned/heuristic. */
     std::size_t simd_groups = 0;
 
@@ -177,17 +137,31 @@ class ForestKernel {
     class Scratch {
      private:
         friend class ForestKernel;
-        friend struct KernelV2Plan;
         /** Per-(row, class) vote counts, row_block x num_classes. */
         std::vector<std::int32_t> counts;
-        /** Per-row accumulators, tree order, row_block. */
+        /** Per-row accumulators, tree order. */
         std::vector<double> sums;
-        /** v2 quantized: pre-binned rows (row-major, +2 bytes pad). */
-        std::vector<std::uint16_t> binned;
-        /** v2: per-group leaf indices. */
+        /** Per-group leaf indices. */
         std::vector<std::int32_t> leaves;
         /** threshold early-exit: undecided row indices (compacted). */
         std::vector<std::int32_t> active;
+        /** threshold early-exit: undecided rows' features, dense. */
+        std::vector<float> dense_rows;
+    };
+
+    /**
+     * Runtime parameters of the inner loop, autotuned or taken from the
+     * options (see kernel_autotune.h).
+     */
+    struct Tuning {
+        std::size_t row_block = 64;
+        std::size_t tile_node_budget = std::size_t{1} << 16;
+        /** Lane-width multiplier: with SIMD, row groups (of 8 rows)
+         * interleaved per tree; without, the scalar loop runs
+         * 16 * groups independent rows per tree. Either way more groups
+         * means more loads in flight to hide node-load latency. */
+        std::size_t groups = 2;
+        bool use_simd = false;
     };
 
     /**
@@ -210,13 +184,14 @@ class ForestKernel {
     explicit ForestKernel(const GradientBoostedModel& gbdt,
                           const ForestKernelOptions& options = {});
 
-    ~ForestKernel();
     ForestKernel(ForestKernel&&) = delete;
     ForestKernel& operator=(ForestKernel&&) = delete;
 
     /**
-     * True when @p forest can be compiled: at least one tree and
-     * feature ids that fit the kernel's 15-bit feature field.
+     * True when @p forest can be compiled: at least one tree, feature
+     * ids that fit the packed node's 15-bit feature field, and no tree
+     * over 2^17 nodes (the 17-bit tree-local child field). Callers fall
+     * back to the scalar reference path otherwise.
      */
     static bool Supports(const RandomForest& forest);
 
@@ -227,32 +202,33 @@ class ForestKernel {
     int num_classes() const { return num_classes_; }
     std::size_t num_features() const { return num_features_; }
     std::size_t NumTrees() const { return roots_.size(); }
-    std::size_t NumNodes() const { return num_nodes_; }
+    std::size_t NumNodes() const { return enode_.size(); }
     /** Tree tiles the ensemble was partitioned into. */
-    std::size_t NumTiles() const;
+    std::size_t NumTiles() const { return tiles_.size(); }
     const ForestKernelOptions& options() const { return options_; }
-
-    /** Layout actually compiled (v2 may have fallen back to v1). */
-    KernelVersion version() const { return version_; }
-    KernelMode mode() const { return mode_; }
     KernelCombine combine() const { return combine_; }
 
-    /** True when the v2 plan runs the SIMD shim inner loop. */
-    bool simd_active() const;
+    /** True when the plan runs the SIMD shim inner loop. */
+    bool simd_active() const { return tuning_.use_simd; }
     /** Compile-time shim backend: "avx2", "neon", or "scalar". */
     static const char* SimdBackend();
-    /** SIMD row groups in flight per tree (0 for scalar/v1 plans). */
-    std::size_t simd_groups() const;
+    /** SIMD row groups in flight per tree (0 for scalar plans). */
+    std::size_t simd_groups() const
+    {
+        return tuning_.use_simd ? tuning_.groups : 0;
+    }
     /** Rows one traversal group keeps in flight per tree: 8 x groups
-     * with SIMD, the tuned 16/32/64 scalar lane width otherwise (16
-     * for v1's fixed loop). */
+     * with SIMD, the tuned 16/32/64 scalar lane width otherwise. */
     std::size_t tuned_lane_rows() const;
     /** Row block the plan actually runs (post-autotune). */
-    std::size_t tuned_row_block() const;
+    std::size_t tuned_row_block() const { return tuning_.row_block; }
     /** Tile node budget the plan actually runs (post-autotune). */
-    std::size_t tuned_tile_node_budget() const;
+    std::size_t tuned_tile_node_budget() const
+    {
+        return tuning_.tile_node_budget;
+    }
     /** True when the autotuner picked this plan's parameters. */
-    bool autotuned() const;
+    bool autotuned() const { return autotuned_; }
 
     /**
      * Wall-clock milliseconds Compile() took (autotuning included) —
@@ -260,15 +236,6 @@ class ForestKernel {
      * evicted and later rebuilt (the fleet registry's re-warm tax).
      */
     double build_wall_ms() const { return build_wall_ms_; }
-
-    /**
-     * Quantized plans: true when every distinct threshold received its
-     * own bin, which upgrades the epsilon contract to bit-identity
-     * (monotone binning preserves every comparison; DESIGN.md §13).
-     */
-    bool quant_exact() const;
-    /** Largest per-feature bin count of a quantized plan (else 0). */
-    std::size_t quant_max_bins() const;
 
     /**
      * Single-threaded execution: writes one prediction per row into
@@ -290,7 +257,7 @@ class ForestKernel {
 
     /**
      * Batch prediction with chunked ThreadPool parallelism (thread-local
-     * scratch per worker). Exact plans match the reference scalar path
+     * scratch per worker). Matches the reference scalar path
      * bit-for-bit.
      */
     std::vector<float> Predict(const float* rows, std::size_t num_rows,
@@ -301,12 +268,12 @@ class ForestKernel {
 
     /**
      * True when PredictThreshold can stop accumulating trees early:
-     * the plan compiled the v1 layout with an accumulator combiner
-     * (kMeanRegress / kMargin / kMarginClassify). The combiner's
-     * finisher g(sum) — float cast, divide by tree count, sigmoid +
-     * 0.5 threshold — is monotone non-decreasing in the sum, so a
-     * conservative [lo, hi] interval on the remaining-tree
-     * contribution decides "g(sum) op θ" exactly (DESIGN.md §14).
+     * the combiner accumulates sums (kMeanRegress / kMargin /
+     * kMarginClassify). The combiner's finisher g(sum) — float cast,
+     * divide by tree count, sigmoid + 0.5 threshold — is monotone
+     * non-decreasing in the sum, so a conservative [lo, hi] interval on
+     * the remaining-tree contribution decides "g(sum) op θ" exactly
+     * (DESIGN.md §14).
      */
     bool SupportsThresholdEarlyExit() const;
 
@@ -316,8 +283,9 @@ class ForestKernel {
      * the predicate, else 0. Bit-equivalent to comparing Predict()
      * output — early exit uses per-tree leaf-value suffix bounds plus
      * a rounding-slack margin, and rows whose interval straddles the
-     * threshold finish all trees exactly. Falls back to a full
-     * Predict() + compare (no early exit, still exact) when
+     * threshold finish all trees exactly. Runs the same tuned inner
+     * loop as Predict(), one tree segment at a time. Falls back to a
+     * full Predict() + compare (no early exit, still exact) when
      * SupportsThresholdEarlyExit() is false. @p stats, when non-null,
      * accumulates traversal-work accounting.
      */
@@ -326,8 +294,6 @@ class ForestKernel {
         ThresholdStats* stats = nullptr) const;
 
  private:
-    friend struct KernelV2Plan;
-
     /** A run of consecutive trees whose nodes share one cache tile. */
     struct TreeTile {
         std::size_t first_tree;
@@ -337,47 +303,43 @@ class ForestKernel {
     Task task_ = Task::kClassification;
     int num_classes_ = 0;
     std::size_t num_features_ = 0;
-    std::size_t num_nodes_ = 0;
     ForestKernelOptions options_;
-    KernelVersion version_ = KernelVersion::kV1;
-    KernelMode mode_ = KernelMode::kExact;
     KernelCombine combine_ = KernelCombine::kVoteClassify;
     /** Margin combiner parameters (gbdt): out = init + scale * sum. */
     double init_ = 0.0;
     double scale_ = 1.0;
     double build_wall_ms_ = 0.0;
-
-    /**
-     * One packed v1 traversal node: everything one descend step reads,
-     * on one cache line. The right child is implicitly left + 1 (BFS
-     * emits siblings adjacently); a leaf is {threshold = +inf,
-     * left = self, feature = 0}, which the branchless step can evaluate
-     * harmlessly forever without moving.
-     */
-    struct Node {
-        float threshold;
-        /** Absolute pool index (already offset by the tree base). */
-        std::int32_t left;
-        std::int16_t feature;
-    };
+    Tuning tuning_;
+    bool autotuned_ = false;
 
     void Compile(const std::vector<DecisionTree>& trees);
 
+    /**
+     * Resolves tuning_ under options_: forced lanes are honored as-is,
+     * kAuto without autotune takes the heuristic, and kAuto with
+     * autotune benchmarks the candidate grid on sample rows drawn from
+     * the per-feature threshold ranges [@p lo, @p hi] (or reuses a
+     * cached winner). Defined in kernel_autotune.cc.
+     */
+    void Autotune(const std::vector<float>& lo, const std::vector<float>& hi);
+
+    /**
+     * Walks rows [0, @p num_rows) through trees [@p first_tree,
+     * @p end_tree) with the tuned inner loop, calling
+     * visit(row, leaf_pool_index) once per (row, tree). Each row visits
+     * the trees in ensemble order. @p leaves holds tuned_lane_rows().
+     */
+    template <typename Visit>
+    void Walk(const float* rows, std::size_t num_rows, std::size_t stride,
+              std::size_t first_tree, std::size_t end_tree,
+              std::int32_t* leaves, Visit visit) const;
+
     /** @p stride is the float distance between consecutive rows. */
-    void RunBlockClassify(const float* rows, std::size_t num_rows,
-                          std::size_t stride, float* out,
-                          Scratch& scratch) const;
-    void RunBlockAccumulate(const float* rows, std::size_t num_rows,
-                            std::size_t stride, float* out,
-                            Scratch& scratch) const;
     void RunStrided(const float* rows, std::size_t num_rows,
                     std::size_t stride, float* out, Scratch& scratch) const;
-    /** Applies the combiner to finish @p num_rows accumulated sums. */
-    void FinishSums(const double* sums, std::size_t num_rows,
-                    float* out) const;
     /** The combiner's monotone finisher for one accumulated sum. */
     float FinishOne(double sum) const;
-    /** Early-exit traversal over one chunk (v1 accumulate only). */
+    /** Early-exit traversal over one chunk (accumulate combines only). */
     void RunThreshold(const float* rows, std::size_t num_rows,
                       std::size_t stride, ThresholdOp op, float threshold,
                       std::uint8_t* keep, Scratch& scratch,
@@ -387,8 +349,16 @@ class ForestKernel {
     std::vector<std::int32_t> roots_;
     /** Depth of each tree in edges: the fixed traversal trip count. */
     std::vector<std::int32_t> depths_;
-    /** Flattened v1 node pool, level order per tree. */
-    std::vector<Node> nodes_;
+    /**
+     * Node pool, level order per tree: one interleaved 8-byte word per
+     * node — the f32 threshold bits in the low half and a packed
+     * feature:15 | left:17 meta word (left child as a tree-local
+     * index) in the high half. Interleaving keeps each descend step on
+     * a single cache line: the scalar loop does two narrow loads, the
+     * SIMD loop two 4-byte gathers at indices 2n and 2n+1 of the same
+     * base.
+     */
+    std::vector<std::uint64_t> enode_;
     /** Leaf payload: value (regression / margin kernels). */
     std::vector<float> value_;
     /** Leaf payload: precomputed class id (vote kernels). */
@@ -397,18 +367,15 @@ class ForestKernel {
     std::vector<TreeTile> tiles_;
 
     /**
-     * Threshold early-exit bounds (v1 accumulate combines only),
-     * indexed by tree: suffix_min_[t] / suffix_max_[t] bound the
-     * summed contribution (scale * leaf value) of trees [t, T), and
+     * Threshold early-exit bounds (accumulate combines only), indexed
+     * by tree: suffix_min_[t] / suffix_max_[t] bound the summed
+     * contribution (scale * leaf value) of trees [t, T), and
      * suffix_abs_[t] sums their magnitudes for the rounding-slack
      * term. Size T + 1 with zeros at index T.
      */
     std::vector<double> suffix_min_;
     std::vector<double> suffix_max_;
     std::vector<double> suffix_abs_;
-
-    /** v2 plan; null when the kernel compiled the v1 layout. */
-    std::unique_ptr<KernelV2Plan> v2_;
 };
 
 }  // namespace dbscore

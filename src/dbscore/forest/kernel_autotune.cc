@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "dbscore/forest/forest_kernel.h"
-#include "dbscore/forest/forest_kernel_v2.h"
 #include "dbscore/forest/simd.h"
 #include "dbscore/trace/trace.h"
 
@@ -29,18 +28,14 @@ constexpr std::size_t kSampleRows = 1024;
  * costs once). */
 constexpr int kReps = 3;
 
-struct TunedParams {
-    std::size_t row_block;
-    std::size_t tile_node_budget;
-    std::size_t groups;
-    bool use_simd;
-};
+/** Seed of the synthetic sample rows. */
+constexpr std::uint64_t kSampleSeed = 42;
 
 std::mutex g_cache_mutex;
-std::map<std::string, TunedParams>& // NOLINT(runtime/string)
+std::map<std::string, ForestKernel::Tuning>& // NOLINT(runtime/string)
 Cache()
 {
-    static auto* cache = new std::map<std::string, TunedParams>();
+    static auto* cache = new std::map<std::string, ForestKernel::Tuning>();
     return *cache;
 }
 
@@ -61,21 +56,21 @@ NextRand(std::uint64_t& s)
  * tracks cost on real data.
  */
 std::vector<float>
-MakeSample(const KernelV2Plan& plan, std::size_t num_features,
-           std::uint64_t seed)
+MakeSample(const std::vector<float>& lo, const std::vector<float>& hi)
 {
+    const std::size_t num_features = lo.size();
     std::vector<float> rows(kSampleRows * num_features);
-    std::uint64_t s = seed | 1;
+    std::uint64_t s = kSampleSeed | 1;
     for (std::size_t i = 0; i < kSampleRows; ++i) {
         for (std::size_t f = 0; f < num_features; ++f) {
             const double frac =
                 static_cast<double>(NextRand(s) >> 11) *
                 (1.0 / 9007199254740992.0);
-            const double lo = plan.tune_lo[f];
-            const double hi = plan.tune_hi[f];
-            const double margin = 0.25 * (hi - lo) + 1e-3;
+            const double flo = lo[f];
+            const double fhi = hi[f];
+            const double margin = 0.25 * (fhi - flo) + 1e-3;
             rows[i * num_features + f] = static_cast<float>(
-                lo - margin + frac * (hi - lo + 2.0 * margin));
+                flo - margin + frac * (fhi - flo + 2.0 * margin));
         }
     }
     return rows;
@@ -84,14 +79,12 @@ MakeSample(const KernelV2Plan& plan, std::size_t num_features,
 std::string
 CacheKey(const ForestKernel& kernel, const ForestKernelOptions& options)
 {
-    char buf[160];
-    std::snprintf(
-        buf, sizeof(buf), "t%zu n%zu f%zu c%d m%d s%llu rb%zu tb%zu g%zu",
-        kernel.NumTrees(), kernel.NumNodes(), kernel.num_features(),
-        static_cast<int>(kernel.combine()),
-        static_cast<int>(kernel.mode()),
-        static_cast<unsigned long long>(options.autotune_seed),
-        options.row_block, options.tile_node_budget, options.simd_groups);
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "t%zu n%zu f%zu c%d rb%zu tb%zu g%zu",
+                  kernel.NumTrees(), kernel.NumNodes(),
+                  kernel.num_features(), static_cast<int>(kernel.combine()),
+                  options.row_block, options.tile_node_budget,
+                  options.simd_groups);
     return buf;
 }
 
@@ -107,50 +100,41 @@ ClampGroups(std::size_t g)
     return g == 0 ? 2 : g;
 }
 
-void
-Apply(KernelV2Plan& plan, const TunedParams& p)
-{
-    plan.row_block = p.row_block;
-    plan.tile_node_budget = p.tile_node_budget;
-    plan.groups = p.groups;
-    plan.use_simd = p.use_simd;
-}
-
 }  // namespace
 
 void
-AutotuneV2(const ForestKernel& kernel, KernelV2Plan& plan,
-           const ForestKernelOptions& options)
+ForestKernel::Autotune(const std::vector<float>& lo,
+                       const std::vector<float>& hi)
 {
-    const bool simd_ok = V2SimdRuntimeEnabled();
-    plan.row_block = options.row_block;
-    plan.tile_node_budget = options.tile_node_budget;
-    plan.groups = ClampGroups(options.simd_groups);
-    plan.autotuned = false;
+    const bool simd_ok = simd::RuntimeEnabled();
+    tuning_.row_block = options_.row_block;
+    tuning_.tile_node_budget = options_.tile_node_budget;
+    tuning_.groups = ClampGroups(options_.simd_groups);
+    autotuned_ = false;
 
-    if (options.lanes == KernelLanes::kScalar) {
-        plan.use_simd = false;
+    if (options_.lanes == KernelLanes::kScalar) {
+        tuning_.use_simd = false;
         return;
     }
-    if (options.lanes == KernelLanes::kSimd) {
+    if (options_.lanes == KernelLanes::kSimd) {
         // Forced SIMD still degrades to scalar when the machine (or the
         // DBSCORE_SIMD escape hatch) cannot run the vector backend —
         // predictions are identical either way.
-        plan.use_simd = simd_ok;
+        tuning_.use_simd = simd_ok;
         return;
     }
-    if (!options.autotune) {
-        plan.use_simd = simd_ok;
+    if (!options_.autotune) {
+        tuning_.use_simd = simd_ok;
         return;
     }
 
-    const std::string key = CacheKey(kernel, options);
+    const std::string key = CacheKey(*this, options_);
     {
         std::lock_guard<std::mutex> lock(g_cache_mutex);
         auto it = Cache().find(key);
         if (it != Cache().end()) {
-            Apply(plan, it->second);
-            plan.autotuned = true;
+            tuning_ = it->second;
+            autotuned_ = true;
             return;
         }
     }
@@ -171,41 +155,38 @@ AutotuneV2(const ForestKernel& kernel, KernelV2Plan& plan,
         lanes.emplace_back(4, true);
         lanes.emplace_back(8, true);
     }
-    std::vector<std::size_t> row_blocks = {64, 256, options.row_block};
+    std::vector<std::size_t> row_blocks = {64, 256, options_.row_block};
     std::sort(row_blocks.begin(), row_blocks.end());
     row_blocks.erase(std::unique(row_blocks.begin(), row_blocks.end()),
                      row_blocks.end());
-    const std::size_t nn = kernel.NumNodes();
+    const std::size_t nn = NumNodes();
     std::vector<std::size_t> budgets = {
         std::min<std::size_t>(std::size_t{1} << 14, nn),
         std::min<std::size_t>(std::size_t{1} << 16, nn), nn,
-        std::min(options.tile_node_budget, nn)};
+        std::min(options_.tile_node_budget, nn)};
     std::sort(budgets.begin(), budgets.end());
     budgets.erase(std::unique(budgets.begin(), budgets.end()),
                   budgets.end());
 
-    const std::vector<float> sample =
-        MakeSample(plan, kernel.num_features(), options.autotune_seed);
+    const std::vector<float> sample = MakeSample(lo, hi);
     std::vector<float> out(kSampleRows);
-    ForestKernel::Scratch scratch;
+    Scratch scratch;
 
-    TunedParams best{};
+    Tuning best{};
     double best_ns = 0.0;
     bool have_best = false;
     std::size_t tried = 0;
     for (const auto& [groups, use_simd] : lanes) {
         for (const std::size_t rb : row_blocks) {
             for (const std::size_t tb : budgets) {
-                const TunedParams cand{rb, tb, groups, use_simd};
-                Apply(plan, cand);
-                plan.Retile(kernel);
+                const Tuning cand{rb, tb, groups, use_simd};
+                tuning_ = cand;
                 double ns = 0.0;
                 for (int rep = 0; rep < kReps; ++rep) {
                     const auto t0 =
                         std::chrono::steady_clock::now();
-                    plan.RunStrided(kernel, sample.data(), kSampleRows,
-                                    kernel.num_features(), out.data(),
-                                    scratch);
+                    RunStrided(sample.data(), kSampleRows, num_features_,
+                               out.data(), scratch);
                     const auto t1 =
                         std::chrono::steady_clock::now();
                     const double rep_ns =
@@ -229,8 +210,8 @@ AutotuneV2(const ForestKernel& kernel, KernelV2Plan& plan,
     span.AddAttr("winner_simd_groups",
                  best.use_simd ? static_cast<double>(best.groups) : 0.0);
 
-    Apply(plan, best);
-    plan.autotuned = true;
+    tuning_ = best;
+    autotuned_ = true;
     {
         std::lock_guard<std::mutex> lock(g_cache_mutex);
         Cache().emplace(key, best);

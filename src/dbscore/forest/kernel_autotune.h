@@ -1,11 +1,12 @@
 /**
  * @file
- * Build-time autotuner for the v2 forest kernel.
+ * Build-time autotuner for the forest kernel (ForestKernel::Autotune,
+ * defined in kernel_autotune.cc).
  *
- * Instead of the fixed tile-fits-in-LLC heuristic, the tuner times a
+ * Instead of a fixed tile-fits-in-LLC heuristic, the tuner times a
  * small candidate grid of (inner loop, row block, tile node budget)
  * against the freshly compiled plan on a deterministic synthetic row
- * sample (seeded, drawn from the ensemble's per-feature threshold
+ * sample (fixed-seed, drawn from the ensemble's per-feature threshold
  * ranges so traversal paths are realistic), then adopts the fastest
  * configuration. Winners are cached process-wide per model shape, so a
  * serve path that prewarms the same model repeatedly — or rebuilds a
@@ -25,21 +26,6 @@
 #define DBSCORE_FOREST_KERNEL_AUTOTUNE_H
 
 namespace dbscore {
-
-class ForestKernel;
-struct ForestKernelOptions;
-struct KernelV2Plan;
-
-/**
- * Resolves @p plan's runtime parameters (use_simd, groups, row_block,
- * tile_node_budget) for @p kernel under @p options: forced lanes are
- * honored as-is, kAuto without autotune takes the heuristic, and kAuto
- * with autotune benchmarks the candidate grid (or reuses a cached
- * winner). The plan's node arrays must be fully built; tiles are
- * left for the caller to (re)build.
- */
-void AutotuneV2(const ForestKernel& kernel, KernelV2Plan& plan,
-                const ForestKernelOptions& options);
 
 /** Drops every cached autotune winner (tests). */
 void AutotuneCacheClear();

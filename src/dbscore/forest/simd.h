@@ -1,6 +1,7 @@
 /**
  * @file
- * 8-lane f32/i32 SIMD portability shim for the v2 traversal kernel.
+ * 8-lane f32/i32 SIMD portability shim for the forest kernel's
+ * traversal loop.
  *
  * One backend is selected at compile time:
  *
@@ -16,13 +17,11 @@
  *  - Scalar fallback everywhere else (and when DBSCORE_SIMD_DISABLED
  *    is defined, which the `DBSCORE_SIMD=OFF` CMake leg forces): plain
  *    8-element loops the autovectorizer may or may not pick up. Keeps
- *    every v2 code path compilable and bit-identical on any ISA.
+ *    every kernel code path compilable and bit-identical on any ISA.
  *
  * The API is exactly what one blended descend step of the forest
- * traversal needs: i32/f32 gathers (plus a zero-extending u16 gather
- * for quantized nodes and pre-binned rows, done as a scale-2 i32
- * gather off an even base — buffers gathered this way must be padded
- * by 2 bytes), an ordered-complement float compare matching
+ * traversal needs: i32/f32 gathers, an ordered-complement float
+ * compare matching
  * `!(x <= t)` (NaN compares true, i.e. descends right), and mask
  * arithmetic where a true lane is -1 so `left - mask` implements
  * `left + (x > t)`.
@@ -31,6 +30,8 @@
 #define DBSCORE_FOREST_SIMD_H
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 
 #if !defined(DBSCORE_SIMD_DISABLED) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -84,6 +85,24 @@ HaveSimd()
 #else
     return false;
 #endif
+}
+
+/**
+ * True when the kernel may run the vector backend: HaveSimd() holds
+ * and the DBSCORE_SIMD environment variable ("off", "OFF" or "0") does
+ * not force the scalar loop — a runtime escape hatch mirroring the
+ * DBSCORE_SIMD=OFF build leg, so one binary can A/B the two loops.
+ */
+inline bool
+RuntimeEnabled()
+{
+    if (!HaveSimd()) {
+        return false;
+    }
+    const char* env = std::getenv("DBSCORE_SIMD");
+    return env == nullptr ||
+           (std::strcmp(env, "off") != 0 && std::strcmp(env, "OFF") != 0 &&
+            std::strcmp(env, "0") != 0);
 }
 
 #if defined(DBSCORE_SIMD_AVX2)
@@ -159,37 +178,11 @@ GatherF32(const float* base, VI idx)
     return {_mm256_i32gather_ps(base, idx.v, 4)};
 }
 
-/**
- * Zero-extending u16 gather via a scale-2 i32 gather: reads 4 bytes at
- * base + 2*idx and masks the low half, so @p base's buffer must be
- * padded with at least 2 trailing bytes.
- */
-DBSCORE_SIMD_OP VI
-GatherU16(const std::uint16_t* base, VI idx)
-{
-    const __m256i wide = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(base), idx.v, 2);
-    return {_mm256_and_si256(wide, _mm256_set1_epi32(0xFFFF))};
-}
-
 /** -1 where !(x <= t) — strictly greater or unordered (NaN). */
 DBSCORE_SIMD_OP VI
 CmpNotLe(VF x, VF t)
 {
     return {_mm256_castps_si256(_mm256_cmp_ps(x.v, t.v, _CMP_NLE_UQ))};
-}
-
-/** -1 where a > b (signed; bin ids stay below 2^16). */
-DBSCORE_SIMD_OP VI
-CmpGt(VI a, VI b)
-{
-    return {_mm256_cmpgt_epi32(a.v, b.v)};
-}
-
-DBSCORE_SIMD_OP bool
-AllEq(VI a, VI b)
-{
-    return _mm256_movemask_epi8(_mm256_cmpeq_epi32(a.v, b.v)) == -1;
 }
 
 /** True when any bit of any lane is set. */
@@ -294,38 +287,11 @@ GatherF32(const float* base, VI idx)
 }
 
 DBSCORE_SIMD_OP VI
-GatherU16(const std::uint16_t* base, VI idx)
-{
-    std::int32_t i[8];
-    vst1q_s32(i, idx.lo);
-    vst1q_s32(i + 4, idx.hi);
-    const std::int32_t v[8] = {base[i[0]], base[i[1]], base[i[2]],
-                               base[i[3]], base[i[4]], base[i[5]],
-                               base[i[6]], base[i[7]]};
-    return {vld1q_s32(v), vld1q_s32(v + 4)};
-}
-
-DBSCORE_SIMD_OP VI
 CmpNotLe(VF x, VF t)
 {
     // vcle is false for NaN, so its complement matches !(x <= t).
     return {vreinterpretq_s32_u32(vmvnq_u32(vcleq_f32(x.lo, t.lo))),
             vreinterpretq_s32_u32(vmvnq_u32(vcleq_f32(x.hi, t.hi)))};
-}
-
-DBSCORE_SIMD_OP VI
-CmpGt(VI a, VI b)
-{
-    return {vreinterpretq_s32_u32(vcgtq_s32(a.lo, b.lo)),
-            vreinterpretq_s32_u32(vcgtq_s32(a.hi, b.hi))};
-}
-
-DBSCORE_SIMD_OP bool
-AllEq(VI a, VI b)
-{
-    const uint32x4_t eq_lo = vceqq_s32(a.lo, b.lo);
-    const uint32x4_t eq_hi = vceqq_s32(a.hi, b.hi);
-    return vminvq_u32(vandq_u32(eq_lo, eq_hi)) == 0xFFFFFFFFu;
 }
 
 DBSCORE_SIMD_OP bool
@@ -434,37 +400,12 @@ GatherF32(const float* base, VI idx)
 }
 
 DBSCORE_SIMD_OP VI
-GatherU16(const std::uint16_t* base, VI idx)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k) r.v[k] = base[idx.v[k]];
-    return r;
-}
-
-DBSCORE_SIMD_OP VI
 CmpNotLe(VF x, VF t)
 {
     VI r;
     for (std::size_t k = 0; k < kWidth; ++k)
         r.v[k] = !(x.v[k] <= t.v[k]) ? -1 : 0;
     return r;
-}
-
-DBSCORE_SIMD_OP VI
-CmpGt(VI a, VI b)
-{
-    VI r;
-    for (std::size_t k = 0; k < kWidth; ++k)
-        r.v[k] = a.v[k] > b.v[k] ? -1 : 0;
-    return r;
-}
-
-DBSCORE_SIMD_OP bool
-AllEq(VI a, VI b)
-{
-    for (std::size_t k = 0; k < kWidth; ++k)
-        if (a.v[k] != b.v[k]) return false;
-    return true;
 }
 
 DBSCORE_SIMD_OP bool

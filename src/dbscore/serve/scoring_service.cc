@@ -203,9 +203,9 @@ ScoringService::Submit(ScoreRequest request)
         } else {
             request.arrival = StampArrival(request.arrival);
             ++in_flight_;
-            PendingRequest pending{std::move(request), handle};
-            pending.trace = tracer.NewRootContext(trace_domain_);
-            pending.submit_wall_us = submit_us;
+            PendingRequest pending{std::move(request), handle,
+                                   tracer.NewRootContext(trace_domain_),
+                                   submit_us};
             root = pending.trace;
             admission_.push_back(std::move(pending));
             stats_.RecordAdmitted();

@@ -10,6 +10,10 @@
  * afterwards; and the caller-owned scratch makes repeated runs
  * allocation-free without changing results.
  */
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "dbscore/data/synthetic.h"
 #include "dbscore/forest/forest.h"
 #include "dbscore/forest/forest_kernel.h"
+#include "dbscore/forest/gbdt.h"
 #include "dbscore/forest/trainer.h"
 
 namespace dbscore {
@@ -212,6 +217,139 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(1, 8, 128),
                        ::testing::Values(1, 6, 10)));
+
+// ----------------------------------------------- threshold oracle --
+
+/** Combiners the threshold path can meet. */
+enum class OracleModel { kForestMean, kGbdtMargin, kGbdtClassify, kVote };
+
+/** (combiner, trees): the checkpoint sits every 8 trees, so 1/8/9/24
+ * cover no checkpoint, exactly one segment, a 1-tree tail, and three
+ * full segments. */
+class ForestKernelThresholdTest
+    : public ::testing::TestWithParam<std::tuple<OracleModel, int>> {};
+
+TEST_P(ForestKernelThresholdTest, MatchesPredictThenCompare)
+{
+    const auto [which, trees] = GetParam();
+    const auto seed = static_cast<std::uint64_t>(
+        3000 + 100 * static_cast<int>(which) + trees);
+    const bool regress_data =
+        which == OracleModel::kForestMean || which == OracleModel::kGbdtMargin;
+    const Dataset train = regress_data
+                              ? MakeSyntheticRegression(300, 6, 0.1, seed)
+                              : MakeHiggs(300, seed);
+    const Dataset eval = regress_data
+                             ? MakeSyntheticRegression(1025, 6, 0.1, seed + 1)
+                             : MakeHiggs(1025, seed + 1);
+
+    // Both inner loops (SIMD degrades to scalar where the vector
+    // backend is unavailable), without the autotuner's timing noise.
+    std::vector<std::unique_ptr<ForestKernel>> kernels;
+    for (KernelLanes lanes : {KernelLanes::kSimd, KernelLanes::kScalar}) {
+        ForestKernelOptions options;
+        options.lanes = lanes;
+        options.autotune = false;
+        options.parallel_grain = 512;  // 1025 rows fan out over two chunks
+        if (which == OracleModel::kForestMean ||
+            which == OracleModel::kVote) {
+            ForestTrainerConfig config;
+            config.num_trees = static_cast<std::size_t>(trees);
+            config.max_depth = 6;
+            config.seed = seed;
+            kernels.push_back(std::make_unique<ForestKernel>(
+                TrainForest(train, config), options));
+        } else {
+            GbdtConfig config;
+            config.num_trees = static_cast<std::size_t>(trees);
+            config.max_depth = 4;
+            config.seed = seed;
+            kernels.push_back(std::make_unique<ForestKernel>(
+                which == OracleModel::kGbdtMargin
+                    ? TrainGbdtRegressor(train, config)
+                    : TrainGbdtClassifier(train, config),
+                options));
+        }
+    }
+    EXPECT_FALSE(kernels[1]->simd_active());
+
+    // Rows laid out with 3 padding columns, read through a strided
+    // column-prefix view; every 7th row carries a NaN feature (NaN
+    // descends right).
+    const std::size_t cols = eval.num_features();
+    const std::size_t wide = cols + 3;
+    std::vector<float> compact(eval.values().begin(), eval.values().end());
+    for (std::size_t i = 0; i < eval.num_rows(); i += 7) {
+        compact[i * cols + i % cols] = std::numeric_limits<float>::quiet_NaN();
+    }
+    std::vector<float> padded(eval.num_rows() * wide, -7.0f);
+    for (std::size_t i = 0; i < eval.num_rows(); ++i) {
+        std::copy(compact.begin() + static_cast<long>(i * cols),
+                  compact.begin() + static_cast<long>((i + 1) * cols),
+                  padded.begin() + static_cast<long>(i * wide));
+    }
+
+    for (const auto& kernel : kernels) {
+        EXPECT_EQ(kernel->SupportsThresholdEarlyExit(),
+                  which != OracleModel::kVote);
+        std::vector<float> sorted = kernel->Predict(
+            RowView::Borrow(compact.data(), eval.num_rows(), cols));
+        std::sort(sorted.begin(), sorted.end());
+        const float lo = sorted.front();
+        const float hi = sorted.back();
+        const float unreachable = std::abs(hi) + std::abs(lo) + 1000.0f;
+        const std::vector<float> thetas = {
+            lo, sorted[sorted.size() * 3 / 10],
+            sorted[sorted.size() * 7 / 10], hi, unreachable};
+
+        for (std::size_t n :
+             {std::size_t{0}, std::size_t{1}, std::size_t{15},
+              std::size_t{17}, std::size_t{1025}}) {
+            for (const RowView& view :
+                 {RowView::Borrow(compact.data(), n, cols),
+                  RowView::Borrow(padded.data(), n, wide).Prefix(cols)}) {
+                const std::vector<float> preds = kernel->Predict(view);
+                for (ThresholdOp op : {ThresholdOp::kGt, ThresholdOp::kGe,
+                                       ThresholdOp::kLt, ThresholdOp::kLe}) {
+                    for (float theta : thetas) {
+                        ThresholdStats stats;
+                        const std::vector<std::uint8_t> keep =
+                            kernel->PredictThreshold(view, op, theta,
+                                                     &stats);
+                        ASSERT_EQ(keep.size(), n);
+                        for (std::size_t i = 0; i < n; ++i) {
+                            ASSERT_EQ(keep[i] != 0,
+                                      ThresholdHolds(op, theta, preds[i]))
+                                << "row " << i << " n=" << n << " op="
+                                << static_cast<int>(op)
+                                << " theta=" << theta
+                                << " stride=" << view.stride()
+                                << " simd=" << kernel->simd_active();
+                        }
+                        EXPECT_EQ(stats.rows, n);
+                        EXPECT_EQ(stats.tree_traversals_full,
+                                  n * kernel->NumTrees());
+                        EXPECT_LE(stats.tree_traversals,
+                                  stats.tree_traversals_full);
+                        if (theta == unreachable && n > 0 && trees > 8 &&
+                            kernel->SupportsThresholdEarlyExit()) {
+                            EXPECT_GT(stats.rows_decided_early, 0u)
+                                << "op=" << static_cast<int>(op);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Oracle, ForestKernelThresholdTest,
+    ::testing::Combine(::testing::Values(OracleModel::kForestMean,
+                                         OracleModel::kGbdtMargin,
+                                         OracleModel::kGbdtClassify,
+                                         OracleModel::kVote),
+                       ::testing::Values(1, 8, 9, 24)));
 
 }  // namespace
 }  // namespace dbscore

@@ -1,23 +1,20 @@
 /**
  * @file
- * Tests for the v2 forest kernel: SoA/SIMD exact layout, quantized
- * layout, the simd.h shim, the build-time autotuner, and the
- * options-aware kernel caches.
+ * Tests for the forest kernel's tuned layout: the SoA/SIMD node pool,
+ * the simd.h shim, the build-time autotuner, and the options-aware
+ * kernel caches.
  *
- * The contract under test mirrors the v1 suite and extends it:
+ * The contract under test:
  *
- *  - v2 exact predictions are bit-identical to the scalar reference
- *    (and therefore to v1) across task type, shape, depth, and ragged
- *    batch sizes — the same 27-config sweep the v1 suite runs. Engine
- *    coverage rides on the AllEnginesAgree sweep, whose batch path now
- *    compiles v2 by default.
- *  - Quantized predictions are bit-identical whenever every distinct
- *    threshold received its own bin (quant_exact, the common case) and
- *    epsilon-close (argmax agreement) when a feature's thresholds were
- *    subsampled past the u16 bin budget.
+ *  - Predictions are bit-identical to the scalar reference across task
+ *    type, shape, depth, and ragged batch sizes, on both the SIMD and
+ *    the scalar inner loop. Engine coverage rides on the
+ *    AllEnginesAgree sweep, whose batch path compiles the same kernel.
  *  - Forced-SIMD and forced-scalar plans compute identical
  *    predictions, so the shim can be swapped out (DBSCORE_SIMD=OFF
  *    build leg, DBSCORE_SIMD=off env) without changing results.
+ *  - Ensembles the packed node word cannot address are unsupported,
+ *    and every caller falls back to the scalar reference path.
  *  - Autotuned parameters are served deterministically from the
  *    process-wide shape cache, and every choice comes from the
  *    candidate grid.
@@ -28,12 +25,15 @@
 #include <cmath>
 #include <string_view>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dbscore/common/error.h"
 #include "dbscore/data/synthetic.h"
+#include "dbscore/dbms/database.h"
+#include "dbscore/dbms/plan/planner.h"
 #include "dbscore/forest/forest.h"
 #include "dbscore/forest/forest_kernel.h"
 #include "dbscore/forest/gbdt.h"
@@ -67,12 +67,9 @@ TrainSmallIris(std::size_t trees, std::size_t depth, std::uint64_t seed)
 }
 
 ForestKernelOptions
-V2Options(KernelMode mode = KernelMode::kExact,
-          KernelLanes lanes = KernelLanes::kAuto)
+V2Options(KernelLanes lanes = KernelLanes::kAuto)
 {
     ForestKernelOptions options;
-    options.version = KernelVersion::kV2;
-    options.mode = mode;
     options.lanes = lanes;
     options.autotune = false;  // sweep speed; tuning has its own tests
     return options;
@@ -84,6 +81,9 @@ V2Options(KernelMode mode = KernelMode::kExact,
 class ForestKernelV2SweepTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
+// The name predates the single layout; it stays so the sweep's test
+// ids stay stable. Both halves are now exact: the SIMD and the scalar
+// inner loop.
 TEST_P(ForestKernelV2SweepTest, ExactBitIdenticalQuantizedEpsilon)
 {
     auto [generator, trees, depth] = GetParam();
@@ -109,15 +109,9 @@ TEST_P(ForestKernelV2SweepTest, ExactBitIdenticalQuantizedEpsilon)
     const std::size_t cols = eval.num_features();
     auto expected = Reference(forest, rows, 1025, cols);
 
-    ForestKernel exact(forest, V2Options(KernelMode::kExact));
-    EXPECT_EQ(exact.version(), KernelVersion::kV2);
-    ForestKernel quant(forest, V2Options(KernelMode::kQuantized));
-    EXPECT_EQ(quant.mode(), KernelMode::kQuantized);
-    // Trained models stay far below the 2^16 - 2 bin budget, so every
-    // distinct threshold gets its own bin: the rank encoding preserves
-    // every comparison and the epsilon contract collapses to
-    // bit-identity.
-    EXPECT_TRUE(quant.quant_exact());
+    ForestKernel simd(forest, V2Options(KernelLanes::kSimd));
+    ForestKernel scalar(forest, V2Options(KernelLanes::kScalar));
+    EXPECT_FALSE(scalar.simd_active());
 
     // Ragged batch sizes straddling the row blocking and the SIMD
     // group width: empty, single row, one under/over a block.
@@ -126,11 +120,11 @@ TEST_P(ForestKernelV2SweepTest, ExactBitIdenticalQuantizedEpsilon)
         const std::vector<float> want(expected.begin(),
                                       expected.begin() +
                                           static_cast<long>(n));
-        EXPECT_EQ(exact.Predict(rows, n, cols), want)
-            << "exact generator=" << generator << " trees=" << trees
+        EXPECT_EQ(simd.Predict(rows, n, cols), want)
+            << "simd generator=" << generator << " trees=" << trees
             << " depth=" << depth << " n=" << n;
-        EXPECT_EQ(quant.Predict(rows, n, cols), want)
-            << "quant generator=" << generator << " trees=" << trees
+        EXPECT_EQ(scalar.Predict(rows, n, cols), want)
+            << "scalar generator=" << generator << " trees=" << trees
             << " depth=" << depth << " n=" << n;
     }
 }
@@ -151,18 +145,15 @@ TEST(ForestKernelV2Test, SimdAndScalarShimsAgree)
     const std::size_t cols = eval.num_features();
     auto expected = Reference(forest, rows, eval.num_rows(), cols);
 
-    for (KernelMode mode :
-         {KernelMode::kExact, KernelMode::kQuantized}) {
-        ForestKernel scalar(forest, V2Options(mode, KernelLanes::kScalar));
-        ForestKernel simd(forest, V2Options(mode, KernelLanes::kSimd));
-        EXPECT_FALSE(scalar.simd_active());
-        // On machines without the vector backend, forced-SIMD degrades
-        // to the scalar loop — the equality below still holds.
-        auto got_scalar = scalar.Predict(rows, eval.num_rows(), cols);
-        auto got_simd = simd.Predict(rows, eval.num_rows(), cols);
-        EXPECT_EQ(got_scalar, got_simd);
-        EXPECT_EQ(got_scalar, expected);
-    }
+    ForestKernel scalar(forest, V2Options(KernelLanes::kScalar));
+    ForestKernel simd(forest, V2Options(KernelLanes::kSimd));
+    EXPECT_FALSE(scalar.simd_active());
+    // On machines without the vector backend, forced-SIMD degrades to
+    // the scalar loop — the equality below still holds.
+    auto got_scalar = scalar.Predict(rows, eval.num_rows(), cols);
+    auto got_simd = simd.Predict(rows, eval.num_rows(), cols);
+    EXPECT_EQ(got_scalar, got_simd);
+    EXPECT_EQ(got_scalar, expected);
 }
 
 TEST(ForestKernelV2Test, SimdGroupCountsAgree)
@@ -175,8 +166,7 @@ TEST(ForestKernelV2Test, SimdGroupCountsAgree)
 
     for (std::size_t groups : {std::size_t{1}, std::size_t{2},
                                std::size_t{4}}) {
-        ForestKernelOptions options =
-            V2Options(KernelMode::kExact, KernelLanes::kSimd);
+        ForestKernelOptions options = V2Options(KernelLanes::kSimd);
         options.simd_groups = groups;
         ForestKernel kernel(forest, options);
         if (kernel.simd_active()) {
@@ -186,54 +176,13 @@ TEST(ForestKernelV2Test, SimdGroupCountsAgree)
     }
 }
 
-// ----------------------------------------------------- quantization --
+// --------------------------------------------------- oversized trees --
 
-TEST(ForestKernelV2Test, QuantizedSubsamplingKeepsEpsilonContract)
-{
-    // More distinct thresholds on one feature than the u16 bin budget
-    // (2^16 - 2) can hold: one decision stump per threshold. Binning
-    // must subsample, dropping quant_exact, but predictions may flip
-    // only for rows landing between a dropped edge and its kept
-    // neighbor — argmax agreement stays near 1.
-    constexpr std::size_t kStumps = 70000;
-    RandomForest forest(Task::kClassification, 2, 2);
-    for (std::size_t i = 0; i < kStumps; ++i) {
-        DecisionTree stump;
-        const auto threshold =
-            static_cast<float>(i) / static_cast<float>(kStumps);
-        std::int32_t root = stump.AddDecisionNode(0, threshold);
-        std::int32_t lo = stump.AddLeafNode(0.0f);
-        std::int32_t hi = stump.AddLeafNode(1.0f);
-        stump.SetChildren(root, lo, hi);
-        forest.AddTree(std::move(stump));
-    }
-
-    ForestKernel exact(forest, V2Options(KernelMode::kExact));
-    ForestKernel quant(forest, V2Options(KernelMode::kQuantized));
-    EXPECT_FALSE(quant.quant_exact());
-    EXPECT_LE(quant.quant_max_bins(), std::size_t{0xFFFE});
-    EXPECT_GT(quant.quant_max_bins(), std::size_t{60000});
-
-    std::vector<float> rows;
-    constexpr std::size_t kRows = 512;
-    for (std::size_t i = 0; i < kRows; ++i) {
-        rows.push_back(static_cast<float>(i) /
-                       static_cast<float>(kRows));  // feature 0
-        rows.push_back(0.5f);                       // feature 1 (unused)
-    }
-    auto got_exact = exact.Predict(rows.data(), kRows, 2);
-    auto got_quant = quant.Predict(rows.data(), kRows, 2);
-    std::size_t agree = 0;
-    for (std::size_t i = 0; i < kRows; ++i) {
-        agree += got_exact[i] == got_quant[i];
-    }
-    EXPECT_GE(static_cast<double>(agree) / kRows, 0.95);
-}
-
-TEST(ForestKernelV2Test, OversizedTreesFallBackToV1)
+TEST(ForestKernelV2Test, OversizedTreesAreUnsupported)
 {
     // A single tree above the 17-bit local-index budget cannot use the
-    // packed v2 word; the kernel silently compiles v1 instead.
+    // packed node word: the kernel refuses it, and the batch and plan
+    // paths fall back to the scalar reference.
     DecisionTree chain;
     std::int32_t prev = chain.AddDecisionNode(0, 0.5f);
     for (std::size_t i = 1; i < (std::size_t{1} << 16) + 4; ++i) {
@@ -242,15 +191,46 @@ TEST(ForestKernelV2Test, OversizedTreesFallBackToV1)
         chain.SetChildren(prev, next, leaf);
         prev = next;
     }
-    std::int32_t l = chain.AddLeafNode(0.0f);
-    std::int32_t r = chain.AddLeafNode(1.0f);
+    std::int32_t l = chain.AddLeafNode(1.0f);
+    std::int32_t r = chain.AddLeafNode(0.0f);
     chain.SetChildren(prev, l, r);
 
     RandomForest forest(Task::kClassification, 1, 2);
     forest.AddTree(std::move(chain));
-    ForestKernel kernel(forest, V2Options());
-    EXPECT_EQ(kernel.version(), KernelVersion::kV1);
-    EXPECT_EQ(kernel.mode(), KernelMode::kExact);
+    EXPECT_FALSE(ForestKernel::Supports(forest));
+    EXPECT_THROW(ForestKernel(forest, V2Options()), InvalidArgument);
+
+    // x <= 0.5 walks the whole chain to class 1; NaN and x > 0.5 leave
+    // at the root for class 0.
+    Dataset data("chain", Task::kClassification, 1, 2);
+    for (std::size_t i = 0; i < 64; ++i) {
+        const float x = i % 9 == 0 ? std::nanf("")
+                                   : static_cast<float>(i) / 64.0f;
+        data.AddRow({x}, 0.0f);
+    }
+    const std::vector<float> got = forest.PredictBatch(data);
+    ASSERT_EQ(got.size(), data.num_rows());
+    std::size_t ones = 0;
+    for (std::size_t i = 0; i < data.num_rows(); ++i) {
+        EXPECT_EQ(got[i], forest.Predict(data.Row(i))) << "row " << i;
+        ones += got[i] == 1.0f;
+    }
+    EXPECT_GT(ones, 0u);
+
+    Database db;
+    db.StoreDataset("t", data);
+    db.StoreModel("m", TreeEnsemble::FromForest(forest));
+    const std::string sql = "SELECT COUNT(*) FROM t WHERE SCORE(m) > 0.5";
+    plan::Planner optimized(db, {/*optimize=*/true});
+    plan::Planner naive(db, {/*optimize=*/false});
+    const auto plan = optimized.PlanQuery(sql);
+    EXPECT_EQ(plan->scores()[0].kernel, nullptr);
+    const QueryResult want = naive.PlanQuery(sql)->Execute(db);
+    const QueryResult have = plan->Execute(db);
+    EXPECT_EQ(have.rows, want.rows);
+    ASSERT_EQ(have.rows.size(), 1u);
+    EXPECT_EQ(std::get<std::int64_t>(have.rows[0][0]),
+              static_cast<std::int64_t>(ones));
 }
 
 // --------------------------------------------------------- autotuner --
@@ -312,22 +292,22 @@ TEST(ForestKernelV2Test, KernelCacheKeysOnOptions)
 
     // Different options must rebuild, not serve the stale plan (they
     // used to be silently ignored whenever a kernel was cached).
-    ForestKernelOptions v1_options;
-    v1_options.version = KernelVersion::kV1;
-    auto v1 = forest.Kernel(v1_options);
-    EXPECT_NE(v1.get(), v2_default.get());
-    EXPECT_EQ(v1->version(), KernelVersion::kV1);
-    EXPECT_EQ(forest.Kernel(v1_options).get(), v1.get());  // re-cached
+    ForestKernelOptions wide_options;
+    wide_options.row_block = 256;
+    auto wide = forest.Kernel(wide_options);
+    EXPECT_NE(wide.get(), v2_default.get());
+    EXPECT_EQ(wide->options().row_block, 256u);
+    EXPECT_EQ(forest.Kernel(wide_options).get(), wide.get());  // re-cached
 
     // And switching back rebuilds again under the default options.
     auto v2_again = forest.Kernel();
-    EXPECT_NE(v2_again.get(), v1.get());
-    EXPECT_EQ(v2_again->version(), KernelVersion::kV2);
+    EXPECT_NE(v2_again.get(), wide.get());
+    EXPECT_EQ(v2_again->options(), ForestKernelOptions{});
 
-    // Both versions agree bit-for-bit.
+    // Both plans agree bit-for-bit.
     Dataset eval = MakeIris(333, 59);
-    EXPECT_EQ(v1->Predict(eval.values().data(), eval.num_rows(),
-                          eval.num_features()),
+    EXPECT_EQ(wide->Predict(eval.values().data(), eval.num_rows(),
+                            eval.num_features()),
               v2_again->Predict(eval.values().data(), eval.num_rows(),
                                 eval.num_features()));
 }
@@ -410,43 +390,54 @@ TEST(ForestKernelV2Test, KernelBuildEmitsTraceStage)
 
 TEST(ForestKernelV2Test, BuildWallTimeIsStampedOnEveryBuildPath)
 {
+    AutotuneCacheClear();
     RandomForest forest = TrainSmallIris(8, 5, 66);
-    for (KernelMode mode : {KernelMode::kExact, KernelMode::kQuantized}) {
-        ForestKernel kernel(forest, V2Options(mode));
-        ASSERT_EQ(kernel.version(), KernelVersion::kV2);
-        EXPECT_GT(kernel.build_wall_ms(), 0.0);
+    ForestKernelOptions tuned;  // autotune on: a fresh grid, then a hit
+    ForestKernelOptions explicit_block = V2Options();
+    explicit_block.row_block = 128;
+    for (const ForestKernelOptions& options :
+         {tuned, tuned, explicit_block, V2Options(KernelLanes::kScalar),
+          V2Options(KernelLanes::kSimd)}) {
+        EXPECT_GT(ForestKernel(forest, options).build_wall_ms(), 0.0);
     }
-    ForestKernelOptions v1;
-    v1.version = KernelVersion::kV1;
-    EXPECT_GT(ForestKernel(forest, v1).build_wall_ms(), 0.0);
+    AutotuneCacheClear();
 }
 
 // ------------------------------------------------------------ scratch --
 
 TEST(ForestKernelV2Test, ScratchReusableAcrossModesAndBatches)
 {
-    RandomForest forest = TrainSmallIris(8, 6, 66);
+    // One scratch serves a vote kernel and an accumulate kernel, on
+    // both inner loops, back to back.
+    RandomForest vote = TrainSmallIris(8, 6, 66);
+    ForestTrainerConfig config;
+    config.num_trees = 8;
+    config.max_depth = 6;
+    config.seed = 66;
+    RandomForest regress =
+        TrainForest(MakeSyntheticRegression(300, 4, 0.1, 66), config);
     Dataset a = MakeIris(700, 67);
     Dataset b = MakeIris(130, 68);
-    ForestKernel exact(forest, V2Options(KernelMode::kExact));
-    ForestKernel quant(forest, V2Options(KernelMode::kQuantized));
 
     ForestKernel::Scratch scratch;
     std::vector<float> out_a(a.num_rows());
     std::vector<float> out_b(b.num_rows());
-    // The same scratch serves exact and quantized plans back to back.
-    exact.Run(a.values().data(), a.num_rows(), a.num_features(),
-              out_a.data(), scratch);
-    quant.Run(b.values().data(), b.num_rows(), b.num_features(),
-              out_b.data(), scratch);
-    EXPECT_EQ(out_a, Reference(forest, a.values().data(), a.num_rows(),
-                               a.num_features()));
-    EXPECT_EQ(out_b, Reference(forest, b.values().data(), b.num_rows(),
-                               b.num_features()));
-    quant.Run(a.values().data(), a.num_rows(), a.num_features(),
-              out_a.data(), scratch);
-    EXPECT_EQ(out_a, Reference(forest, a.values().data(), a.num_rows(),
-                               a.num_features()));
+    for (KernelLanes lanes : {KernelLanes::kSimd, KernelLanes::kScalar}) {
+        ForestKernel vote_kernel(vote, V2Options(lanes));
+        ForestKernel regress_kernel(regress, V2Options(lanes));
+        vote_kernel.Run(a.values().data(), a.num_rows(), a.num_features(),
+                        out_a.data(), scratch);
+        regress_kernel.Run(b.values().data(), b.num_rows(),
+                           b.num_features(), out_b.data(), scratch);
+        EXPECT_EQ(out_a, Reference(vote, a.values().data(), a.num_rows(),
+                                   a.num_features()));
+        EXPECT_EQ(out_b, Reference(regress, b.values().data(), b.num_rows(),
+                                   b.num_features()));
+        vote_kernel.Run(b.values().data(), b.num_rows(), b.num_features(),
+                        out_b.data(), scratch);
+        EXPECT_EQ(out_b, Reference(vote, b.values().data(), b.num_rows(),
+                                   b.num_features()));
+    }
 }
 
 }  // namespace

@@ -221,6 +221,14 @@ TEST_F(PlanTest, ScoreThresholdPushdownMarksEarlyExit)
     }
     EXPECT_TRUE(pushed);
     EXPECT_TRUE(fused);
+
+    // A vote model has no suffix bound: the physical plan scores fully
+    // and then compares, with no early-exit kernel.
+    const std::string sql = "SELECT COUNT(*) FROM mem WHERE SCORE(m) > 0.5";
+    const auto physical = plan::Planner(db_).PlanQuery(sql);
+    EXPECT_EQ(physical->scores()[0].threshold_kernel, nullptr);
+    const std::string line = physical->ExplainPhysical()[0];
+    EXPECT_EQ(line.substr(line.rfind(": ")), ": kernel (16 trees)");
 }
 
 TEST_F(PlanTest, ScoreValueNeededDisablesEarlyExit)
@@ -362,7 +370,7 @@ ExpectRewriteInvariant(Database& db, const std::string& sql)
 TEST_F(PlanTest, OptimizedMatchesNaiveAcrossShapes)
 {
     for (const char* table : {"mem", "paged"}) {
-        for (const std::string sql : {
+        for (const std::string& sql : {
                  std::string("SELECT SCORE(m) FROM ") + table,
                  std::string("SELECT kin_0, SCORE(m) FROM ") + table +
                      " WHERE SCORE(m) > 0.5",
@@ -539,9 +547,15 @@ TEST_F(PlanTest, CrossPageBatchesMatchNaiveAcrossBatchBoundaries)
                " WHERE SCORE(reg, kin_0, kin_1, kin_2, kin_3, kin_4, "
                "kin_5) > 0.5";
     });
+    // One compiled kernel serves both the threshold and score values.
     ASSERT_NE(counted.plan->scores()[0].threshold_kernel, nullptr);
+    EXPECT_EQ(counted.plan->scores()[0].threshold_kernel.get(),
+              counted.plan->scores()[0].kernel.get());
     EXPECT_EQ(counted.plan->threshold_stats().rows, rows);
     EXPECT_EQ(counted.mem_plan->threshold_stats().rows, rows);
+    EXPECT_EQ(counted.plan->ExplainPhysical()[0],
+              "SCORE(reg, kin_0, kin_1, kin_2, kin_3, kin_4, kin_5): "
+              "kernel (16 trees), threshold early-exit");
 
     // sp_explain states the batch size.
     bool explained = false;
