@@ -149,7 +149,7 @@ RunRate(const Fixture& f, double fault_pct, std::size_t num_requests)
     r.fault_pct = fault_pct;
     r.submitted = snap.submitted;
     r.completed = snap.completed;
-    r.degraded_completed = snap.degraded_completed;
+    r.degraded_completed = snap.degraded;
     r.failed = snap.failed;
     r.expired = snap.expired;
     r.rejected = snap.rejected;

@@ -114,7 +114,7 @@ SummarizeClass(const fleet::ClassSnapshot& c)
     r.submitted = c.submitted;
     r.completed = c.completed;
     r.expired = c.expired;
-    r.rejected = c.rejected_quota + c.rejected_capacity;
+    r.rejected = c.rejected;
     r.deadline_misses = c.deadline_misses;
     r.latency_p50_ms = c.latency.p50 * 1e3;
     r.latency_p99_ms = c.latency.p99 * 1e3;

@@ -475,17 +475,26 @@ RunTraceGuard(bool smoke)
     // Interleave enabled/disabled pairs and take the median per-pair
     // overhead: a scheduler hiccup during one sequential block would
     // otherwise read as tracing overhead (or as a tracing speedup).
+    // Pairs alternate which side runs first, so a warm-up or drift
+    // effect inside a pair does not always land on the same side, and
+    // the pair count is odd so the median is one pair's value.
+    constexpr int kPairs = 31;
     trace::TraceCollector& tracer = trace::TraceCollector::Get();
     tracer.SetEnabled(true);
     out = kernel->Predict(rows, eval_rows, cols);  // warmup
     std::vector<double> overheads;
     double enabled_s = 0.0;
     double disabled_s = 0.0;
-    for (int p = 0; p < 5; ++p) {
-        tracer.SetEnabled(true);
-        const double on = measure();
-        tracer.SetEnabled(false);
-        const double off = measure();
+    auto measure_with = [&](bool enabled) {
+        tracer.SetEnabled(enabled);
+        return measure();
+    };
+    for (int p = 0; p < kPairs; ++p) {
+        const bool enabled_first = p % 2 == 0;
+        const double first = measure_with(enabled_first);
+        const double second = measure_with(!enabled_first);
+        const double on = enabled_first ? first : second;
+        const double off = enabled_first ? second : first;
         enabled_s = p == 0 ? on : std::min(enabled_s, on);
         disabled_s = p == 0 ? off : std::min(disabled_s, off);
         overheads.push_back((on - off) / off * 100.0);

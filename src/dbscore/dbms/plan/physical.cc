@@ -12,6 +12,26 @@
 
 namespace dbscore::plan {
 
+bool
+ScorePredHolds(CompareOp op, float value, float literal)
+{
+    switch (op) {
+      case CompareOp::kEq:
+        return value == literal;
+      case CompareOp::kNe:
+        return value != literal;
+      case CompareOp::kLt:
+        return value < literal;
+      case CompareOp::kLe:
+        return value <= literal;
+      case CompareOp::kGt:
+        return value > literal;
+      case CompareOp::kGe:
+        return value >= literal;
+    }
+    return false;
+}
+
 namespace {
 
 /** CompareOp -> kernel ThresholdOp (ordered comparisons only). */
@@ -32,33 +52,6 @@ ToThresholdOp(CompareOp op)
         return std::nullopt;
     }
     return std::nullopt;
-}
-
-/**
- * "score op literal" at float32 precision — the SCORE-predicate
- * semantics both the early-exit kernel path and the naive
- * score-then-compare path implement, so optimized and naive plans are
- * bit-identical even for literals that are not exactly representable
- * as float (DESIGN.md §14).
- */
-bool
-ScorePredHolds(CompareOp op, float value, float literal)
-{
-    switch (op) {
-      case CompareOp::kEq:
-        return value == literal;
-      case CompareOp::kNe:
-        return value != literal;
-      case CompareOp::kLt:
-        return value < literal;
-      case CompareOp::kLe:
-        return value <= literal;
-      case CompareOp::kGt:
-        return value > literal;
-      case CompareOp::kGe:
-        return value >= literal;
-    }
-    return false;
 }
 
 /**

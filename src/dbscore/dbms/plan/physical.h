@@ -43,6 +43,15 @@
 
 namespace dbscore::plan {
 
+/**
+ * "score op literal" at float32 precision: the SCORE-predicate
+ * semantics the early-exit kernel path, the naive score-then-compare
+ * path and sp_serve_query all implement, so their results are
+ * bit-identical even for literals that are not exactly representable
+ * as float (DESIGN.md §14).
+ */
+bool ScorePredHolds(CompareOp op, float value, float literal);
+
 /** One SCORE expression compiled against its stored model. */
 struct CompiledScore {
     /** Resolved expression (explicit feature list). */

@@ -6,6 +6,7 @@
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 #include "dbscore/serve/request.h"
+#include "dbscore/serve/service_proc.h"
 
 namespace dbscore::fleet {
 
@@ -133,74 +134,66 @@ SpFleetScore(FleetService& service, const ExecStatement& stmt)
 QueryResult
 SpFleetStats(FleetService& service, const ExecStatement& stmt)
 {
-    const bool reset = GetIntParam(stmt, "reset").value_or(0) != 0;
-    FleetSnapshot snap = service.Stats();
-    QueryResult result;
-    result.columns = {"metric", "value"};
-    auto add = [&result](const std::string& metric, double value) {
-        result.rows.push_back({metric, value});
+    auto rows = [](const FleetSnapshot& snap, auto add) {
+        add("tenants", static_cast<double>(snap.tenants));
+        add("models", static_cast<double>(snap.models));
+        add("submitted", static_cast<double>(snap.Submitted()));
+        add("completed", static_cast<double>(snap.Completed()));
+        add("goodput_rps", snap.GoodputRps());
+        add("registry_hit_rate", snap.registry.HitRate());
+        add("registry_resident",
+            static_cast<double>(snap.registry.resident_models));
+        add("registry_resident_bytes",
+            static_cast<double>(snap.registry.resident_bytes));
+        add("registry_evictions",
+            static_cast<double>(snap.registry.evictions));
+        add("registry_rebuilds", static_cast<double>(snap.registry.rebuilds));
+        add("registry_build_ms", snap.registry.build_cost_total.millis());
+        for (int c = 0; c < kNumSloClasses; ++c) {
+            const ClassSnapshot& cls = snap.classes[c];
+            const char* name = SloClassName(static_cast<SloClass>(c));
+            add(StrFormat("%s_submitted", name),
+                static_cast<double>(cls.submitted));
+            add(StrFormat("%s_completed", name),
+                static_cast<double>(cls.completed));
+            add(StrFormat("%s_rejected_quota", name),
+                static_cast<double>(cls.rejected_quota));
+            add(StrFormat("%s_rejected_capacity", name),
+                static_cast<double>(cls.RejectedCapacity()));
+            add(StrFormat("%s_expired", name),
+                static_cast<double>(cls.expired));
+            add(StrFormat("%s_failed", name),
+                static_cast<double>(cls.failed));
+            add(StrFormat("%s_degraded", name),
+                static_cast<double>(cls.degraded));
+            add(StrFormat("%s_deadline_miss_rate", name), cls.MissRate());
+            add(StrFormat("%s_latency_p50_ms", name),
+                cls.latency.p50 * 1e3);
+            add(StrFormat("%s_latency_p99_ms", name),
+                cls.latency.p99 * 1e3);
+        }
+        static const char* kDeviceNames[3] = {"cpu", "gpu", "fpga"};
+        for (int d = 0; d < 3; ++d) {
+            const FleetDeviceSnapshot& dev = snap.devices[d];
+            add(StrFormat("%s_dispatches", kDeviceNames[d]),
+                static_cast<double>(dev.dispatches));
+            add(StrFormat("%s_lanes", kDeviceNames[d]),
+                static_cast<double>(dev.lanes));
+            add(StrFormat("%s_scale_ups", kDeviceNames[d]),
+                static_cast<double>(dev.scale_ups));
+            add(StrFormat("%s_scale_downs", kDeviceNames[d]),
+                static_cast<double>(dev.scale_downs));
+            add(StrFormat("%s_faults", kDeviceNames[d]),
+                static_cast<double>(dev.faults));
+            add(StrFormat("%s_fallbacks", kDeviceNames[d]),
+                static_cast<double>(dev.fallbacks));
+            add(StrFormat("%s_breaker_opens", kDeviceNames[d]),
+                static_cast<double>(dev.breaker_opens));
+            add(StrFormat("%s_breaker", kDeviceNames[d]),
+                std::string(serve::BreakerStateName(dev.breaker)));
+        }
     };
-    add("tenants", static_cast<double>(snap.tenants));
-    add("models", static_cast<double>(snap.models));
-    add("submitted", static_cast<double>(snap.Submitted()));
-    add("completed", static_cast<double>(snap.Completed()));
-    add("goodput_rps", snap.GoodputRps());
-    add("registry_hit_rate", snap.registry.HitRate());
-    add("registry_resident", static_cast<double>(
-                                 snap.registry.resident_models));
-    add("registry_resident_bytes",
-        static_cast<double>(snap.registry.resident_bytes));
-    add("registry_evictions", static_cast<double>(
-                                  snap.registry.evictions));
-    add("registry_rebuilds", static_cast<double>(snap.registry.rebuilds));
-    add("registry_build_ms", snap.registry.build_cost_total.millis());
-    for (int c = 0; c < kNumSloClasses; ++c) {
-        const ClassSnapshot& cls = snap.classes[c];
-        const char* name = SloClassName(static_cast<SloClass>(c));
-        add(StrFormat("%s_submitted", name),
-            static_cast<double>(cls.submitted));
-        add(StrFormat("%s_completed", name),
-            static_cast<double>(cls.completed));
-        add(StrFormat("%s_rejected_quota", name),
-            static_cast<double>(cls.rejected_quota));
-        add(StrFormat("%s_rejected_capacity", name),
-            static_cast<double>(cls.rejected_capacity));
-        add(StrFormat("%s_expired", name),
-            static_cast<double>(cls.expired));
-        add(StrFormat("%s_failed", name), static_cast<double>(cls.failed));
-        add(StrFormat("%s_degraded", name),
-            static_cast<double>(cls.degraded));
-        add(StrFormat("%s_deadline_miss_rate", name), cls.MissRate());
-        add(StrFormat("%s_latency_p50_ms", name), cls.latency.p50 * 1e3);
-        add(StrFormat("%s_latency_p99_ms", name), cls.latency.p99 * 1e3);
-    }
-    static const char* kDeviceNames[3] = {"cpu", "gpu", "fpga"};
-    for (int d = 0; d < 3; ++d) {
-        const FleetDeviceSnapshot& dev = snap.devices[d];
-        add(StrFormat("%s_dispatches", kDeviceNames[d]),
-            static_cast<double>(dev.dispatches));
-        add(StrFormat("%s_lanes", kDeviceNames[d]),
-            static_cast<double>(dev.lanes));
-        add(StrFormat("%s_scale_ups", kDeviceNames[d]),
-            static_cast<double>(dev.scale_ups));
-        add(StrFormat("%s_scale_downs", kDeviceNames[d]),
-            static_cast<double>(dev.scale_downs));
-        add(StrFormat("%s_faults", kDeviceNames[d]),
-            static_cast<double>(dev.faults));
-        add(StrFormat("%s_fallbacks", kDeviceNames[d]),
-            static_cast<double>(dev.fallbacks));
-        add(StrFormat("%s_breaker_opens", kDeviceNames[d]),
-            static_cast<double>(dev.breaker_opens));
-        result.rows.push_back(
-            {StrFormat("%s_breaker", kDeviceNames[d]),
-             std::string(serve::BreakerStateName(dev.breaker))});
-    }
-    if (reset) {
-        service.ResetStats();
-    }
-    result.message = StrFormat("%zu metrics%s", result.rows.size(),
-                               reset ? ", counters reset" : "");
-    return result;
+    return serve::StatsProcResult(service, stmt, rows);
 }
 
 }  // namespace

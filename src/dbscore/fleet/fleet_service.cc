@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <utility>
 
 #include "dbscore/common/error.h"
+#include "dbscore/common/string_util.h"
 #include "dbscore/engines/scoring_engine.h"
 
 namespace dbscore::fleet {
@@ -31,13 +33,97 @@ InitialLanes(const FleetConfig& config)
 
 }  // namespace
 
+std::size_t
+FleetSnapshot::Submitted() const
+{
+    std::size_t n = 0;
+    for (const ClassSnapshot& c : classes) {
+        n += c.submitted;
+    }
+    return n;
+}
+
+std::size_t
+FleetSnapshot::Completed() const
+{
+    std::size_t n = 0;
+    for (const ClassSnapshot& c : classes) {
+        n += c.completed;
+    }
+    return n;
+}
+
+double
+FleetSnapshot::GoodputRps() const
+{
+    const SimTime span = Makespan();
+    if (span.is_zero()) {
+        return 0.0;
+    }
+    std::size_t good = 0;
+    for (const ClassSnapshot& c : classes) {
+        good += c.Goodput();
+    }
+    return static_cast<double>(good) / span.seconds();
+}
+
+std::string
+FleetSnapshot::ToString() const
+{
+    std::ostringstream os;
+    os << StrFormat("fleet:    %zu tenants, %zu models (%zu resident, ",
+                    tenants, models, registry.resident_models)
+       << StrFormat("%.1f MiB of %.1f MiB), registry hit rate %.3f\n",
+                    static_cast<double>(registry.resident_bytes) /
+                        (1024.0 * 1024.0),
+                    static_cast<double>(registry.memory_budget_bytes) /
+                        (1024.0 * 1024.0),
+                    registry.HitRate());
+    os << StrFormat(
+        "registry: %zu hits, %zu misses, %zu rebuilds, %zu evictions, "
+        "modeled build ",
+        registry.hits, registry.misses, registry.rebuilds,
+        registry.evictions)
+       << registry.build_cost_total << "\n";
+    for (int c = 0; c < kNumSloClasses; ++c) {
+        const ClassSnapshot& cls = classes[c];
+        if (cls.submitted == 0) {
+            continue;
+        }
+        os << StrFormat(
+            "%-7s:  %zu submitted, %zu admitted, %zu completed "
+            "(%zu degraded), %zu+%zu rejected (quota+capacity), "
+            "%zu expired, %zu failed, miss rate %.3f, ",
+            SloClassName(static_cast<SloClass>(c)), cls.submitted,
+            cls.admitted, cls.completed, cls.degraded, cls.rejected_quota,
+            cls.RejectedCapacity(), cls.expired, cls.failed,
+            cls.MissRate());
+        os << "p50 " << SimTime::Seconds(cls.latency.p50) << ", p99 "
+           << SimTime::Seconds(cls.latency.p99) << "\n";
+    }
+    static const char* kDeviceNames[3] = {"CPU", "GPU", "FPGA"};
+    for (int d = 0; d < 3; ++d) {
+        const FleetDeviceSnapshot& dev = devices[d];
+        if (dev.dispatches + dev.faults > 0) {
+            os << StrFormat("%-7s:  %zu lanes (+%zu/-%zu), ", kDeviceNames[d],
+                            dev.lanes, dev.scale_ups, dev.scale_downs)
+               << dev.ToString() << "\n";
+        }
+    }
+    os << StrFormat("goodput:  %.1f within-deadline req/s over makespan ",
+                    GoodputRps())
+       << Makespan() << "\n";
+    return os.str();
+}
+
 FleetService::FleetService(const HardwareProfile& profile, FleetConfig config)
     : profile_(profile),
       config_(std::move(config)),
       core_(config_.retry, config_.breaker, config_.cpu_fallback,
             config_.runtime_params, InitialLanes(config_)),
       trace_domain_(TraceCollector::Get().NewDomain()),
-      registry_(profile, config_.registry)
+      registry_(profile, config_.registry),
+      stats_(kNumSloClasses)
 {
     if (config_.queue_capacity == 0) {
         throw InvalidArgument("fleet: zero queue capacity");
@@ -202,20 +288,21 @@ FleetService::Submit(FleetRequest request)
     }
     TenantState& tenant = tenant_it->second;
     const SloClass cls = tenant.cls;
-    stats_.RecordSubmitted(cls);
+    const std::size_t c = static_cast<std::size_t>(cls);
+    stats_.RecordSubmitted(c);
 
     if (!running_ || stop_requested_) {
-        stats_.RecordRejectedCapacity(cls);
+        stats_.RecordRejected(c, /*quota=*/false);
         reject(cls, "fleet: service not running");
         return future;
     }
     if (!tenant.bucket.TryTake(arrival)) {
-        stats_.RecordRejectedQuota(cls);
+        stats_.RecordRejected(c, /*quota=*/true);
         reject(cls, "fleet: tenant quota exceeded");
         return future;
     }
     if (wfq_->size() >= config_.queue_capacity) {
-        stats_.RecordRejectedCapacity(cls);
+        stats_.RecordRejected(c, /*quota=*/false);
         reject(cls, "fleet: central queue full");
         return future;
     }
@@ -231,7 +318,7 @@ FleetService::Submit(FleetRequest request)
                    arrival, SimTime(),
                    {{"class", static_cast<double>(cls)}});
 
-    stats_.RecordAdmitted(cls);
+    stats_.RecordAdmitted(c);
     ++submitted_;
     wfq_->Push(cls, std::move(pending));
     lock.unlock();
@@ -248,10 +335,10 @@ FleetService::ScoreSync(FleetRequest request)
 FleetSnapshot
 FleetService::Stats() const
 {
-    FleetSnapshot snap = stats_.Snapshot();
+    FleetSnapshot snap;
+    stats_.Snapshot(snap.classes, snap);
     for (std::size_t d = 0; d < DispatchCore::kNumDevices; ++d) {
-        static_cast<serve::DispatchCounters&>(snap.devices[d]) =
-            core_.Counters(d);
+        snap.devices[d] = core_.Counters(d);
     }
     snap.registry = registry_.Snapshot();
     std::lock_guard<std::mutex> lock(admission_mutex_);
@@ -472,11 +559,13 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
                 const SimTime horizon =
                     device.lanes[core_.EarliestLaneLocked(d)];
                 device.lanes.insert(device.lanes.end(), delta, horizon);
+                ++device.counters.scale_ups;
             } else if (delta < 0) {
                 // Retire the most-idle lanes.
                 std::sort(device.lanes.begin(), device.lanes.end());
                 device.lanes.resize(device.lanes.size() -
                                     static_cast<std::size_t>(-delta));
+                ++device.counters.scale_downs;
             }
             if (delta != 0) {
                 q.last_scale_change = now;
@@ -486,7 +575,6 @@ FleetService::MaybeAutoscale(SimTime now, std::size_t central_backlog)
             lanes_after = device.lanes.size();
         }
         if (delta != 0) {
-            stats_.RecordScale(static_cast<DeviceClass>(d), delta);
             tracer.EmitSim(StageKind::kAutoscale, reason,
                            tracer.NewRootContext(trace_domain_), now,
                            SimTime(),
@@ -532,18 +620,19 @@ FleetService::Finish(Pending& p, FleetReply reply)
 {
     reply.slo = p.cls;
     reply.arrival = p.arrival;
+    const std::size_t c = static_cast<std::size_t>(p.cls);
     const char* flag = "miss";
     switch (reply.status) {
       case RequestStatus::kExpired:
         flag = "expired";
-        stats_.RecordExpired(p.cls, p.arrival, reply.finish);
+        stats_.RecordExpired(c, p.arrival, reply.finish);
         break;
       case RequestStatus::kFailed:
         flag = "failed";
-        stats_.RecordFailed(p.cls, p.arrival, reply.finish);
+        stats_.RecordFailed(c, p.arrival, reply.finish);
         break;
       default:
-        stats_.RecordCompleted(p.cls, p.arrival, reply.finish,
+        stats_.RecordCompleted(c, p.arrival, reply.finish, reply.Latency(),
                                reply.degraded, reply.deadline_miss);
     }
     const bool flagged = reply.status != RequestStatus::kCompleted ||

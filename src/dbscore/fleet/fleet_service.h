@@ -51,13 +51,13 @@
 #include "dbscore/core/scheduler.h"
 #include "dbscore/dbms/external_runtime.h"
 #include "dbscore/fleet/autoscaler.h"
-#include "dbscore/fleet/fleet_stats.h"
 #include "dbscore/fleet/model_registry.h"
 #include "dbscore/fleet/slo.h"
 #include "dbscore/fleet/wfq.h"
 #include "dbscore/serve/dispatch_core.h"
 #include "dbscore/serve/request.h"
 #include "dbscore/serve/scoring_service.h"
+#include "dbscore/serve/service_stats.h"
 
 namespace dbscore::fleet {
 
@@ -95,6 +95,32 @@ struct FleetConfig {
      * gold/bronze differentiation deterministic.
      */
     bool hold_dispatch = false;
+};
+
+using serve::ClassSnapshot;
+
+/** One device's dispatch accounting, autoscaler activity included. */
+using FleetDeviceSnapshot = serve::DispatchCounters;
+
+/**
+ * A consistent copy of every fleet counter at one instant: one
+ * ClassSnapshot per SLO class, plus the registry and the live tenant
+ * and model counts.
+ */
+struct FleetSnapshot : serve::AccountingSnapshot {
+    std::array<ClassSnapshot, kNumSloClasses> classes;
+    RegistrySnapshot registry;
+
+    std::size_t tenants = 0;
+    std::size_t models = 0;
+
+    std::size_t Submitted() const;
+    std::size_t Completed() const;
+    /** Completed-within-deadline per modeled second over the makespan. */
+    double GoodputRps() const;
+
+    /** Multi-line human-readable rendering. */
+    std::string ToString() const;
 };
 
 /** One tenant-scoped scoring request. */
@@ -268,7 +294,8 @@ class FleetService {
     serve::DispatchCore core_;
     std::uint32_t trace_domain_;
     ModelRegistry registry_;
-    FleetStats stats_;
+    /** Request accounting, one traffic class per SLO class. */
+    serve::ServiceStats stats_;
 
     /** Compact per-tenant record; sized for 10^6-tenant fleets. */
     struct TenantState {

@@ -271,8 +271,8 @@ ForestKernel::ForestKernel(const GradientBoostedModel& gbdt,
 void
 ForestKernel::Compile(const std::vector<DecisionTree>& trees)
 {
-    if (options_.row_block == 0 || options_.tile_node_budget == 0) {
-        throw InvalidArgument("forest kernel: zero row_block/tile budget");
+    if (options_.row_block == 0) {
+        throw InvalidArgument("forest kernel: zero row_block");
     }
 
     // Attribute compilation (the serve path's model prewarming pays
@@ -408,22 +408,6 @@ ForestKernel::Compile(const std::vector<DecisionTree>& trees)
     }
 
     Autotune(tune_lo, tune_hi);
-
-    // Tiles: consecutive trees whose pooled nodes fit the tuned budget;
-    // a single oversized tree still gets its own tile.
-    std::size_t tile_start = 0;
-    std::size_t tile_nodes = 0;
-    for (std::size_t t = 0; t < trees.size(); ++t) {
-        const std::size_t nodes = trees[t].NumNodes();
-        if (t > tile_start &&
-            tile_nodes + nodes > tuning_.tile_node_budget) {
-            tiles_.push_back({tile_start, t});
-            tile_start = t;
-            tile_nodes = 0;
-        }
-        tile_nodes += nodes;
-    }
-    tiles_.push_back({tile_start, trees.size()});
 
     build_wall_ms_ = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - build_start)

@@ -22,9 +22,9 @@
  * blended descend n = left - (x > t ? -1 : 0) as a SIMD mask subtract)
  * or as 16/32/64 independent scalar lanes, with a whole-group early
  * exit once every lane parks on its self-looping leaf. A build-time
- * autotuner (see kernel_autotune.h) benchmarks (row_block,
- * tile_node_budget, lane width) candidates on a deterministic
- * synthetic sample and caches the winner per model shape.
+ * autotuner (see kernel_autotune.h) benchmarks (row_block, lane
+ * width) candidates on a deterministic synthetic sample and caches the
+ * winner per model shape.
  *
  * Predictions are bit-identical to the reference scalar path: every
  * row visits the trees in ensemble order, so regression sums (double
@@ -73,11 +73,6 @@ struct ForestKernelOptions {
     /** Rows per traversal block (kAuto: autotuner may override). */
     std::size_t row_block = 64;
     /**
-     * Upper bound on nodes per tree tile (kAuto: the autotuner may
-     * override).
-     */
-    std::size_t tile_node_budget = std::size_t{1} << 16;
-    /**
      * Minimum rows per worker chunk when Predict() parallelizes over
      * the shared ThreadPool; below 2x this count the batch runs inline.
      */
@@ -85,7 +80,7 @@ struct ForestKernelOptions {
     /** Inner-loop selection. */
     KernelLanes lanes = KernelLanes::kAuto;
     /**
-     * Benchmark (row_block, tile_node_budget, lane width) candidates
+     * Benchmark (row_block, lane width) candidates
      * at build time and adopt the winner (kAuto lanes only). Winners
      * are cached process-wide per model shape.
      */
@@ -155,7 +150,6 @@ class ForestKernel {
      */
     struct Tuning {
         std::size_t row_block = 64;
-        std::size_t tile_node_budget = std::size_t{1} << 16;
         /** Lane-width multiplier: with SIMD, row groups (of 8 rows)
          * interleaved per tree; without, the scalar loop runs
          * 16 * groups independent rows per tree. Either way more groups
@@ -203,8 +197,6 @@ class ForestKernel {
     std::size_t num_features() const { return num_features_; }
     std::size_t NumTrees() const { return roots_.size(); }
     std::size_t NumNodes() const { return enode_.size(); }
-    /** Tree tiles the ensemble was partitioned into. */
-    std::size_t NumTiles() const { return tiles_.size(); }
     const ForestKernelOptions& options() const { return options_; }
     KernelCombine combine() const { return combine_; }
 
@@ -222,11 +214,11 @@ class ForestKernel {
     std::size_t tuned_lane_rows() const;
     /** Row block the plan actually runs (post-autotune). */
     std::size_t tuned_row_block() const { return tuning_.row_block; }
-    /** Tile node budget the plan actually runs (post-autotune). */
-    std::size_t tuned_tile_node_budget() const
-    {
-        return tuning_.tile_node_budget;
-    }
+    /**
+     * Nodes each row group walks: NumNodes(), since every group runs
+     * the whole ensemble in tree order. Kept as a reported figure.
+     */
+    std::size_t tuned_tile_node_budget() const { return NumNodes(); }
     /** True when the autotuner picked this plan's parameters. */
     bool autotuned() const { return autotuned_; }
 
@@ -294,12 +286,6 @@ class ForestKernel {
         ThresholdStats* stats = nullptr) const;
 
  private:
-    /** A run of consecutive trees whose nodes share one cache tile. */
-    struct TreeTile {
-        std::size_t first_tree;
-        std::size_t end_tree;
-    };
-
     Task task_ = Task::kClassification;
     int num_classes_ = 0;
     std::size_t num_features_ = 0;
@@ -363,8 +349,6 @@ class ForestKernel {
     std::vector<float> value_;
     /** Leaf payload: precomputed class id (vote kernels). */
     std::vector<std::int32_t> leaf_class_;
-
-    std::vector<TreeTile> tiles_;
 
     /**
      * Threshold early-exit bounds (accumulate combines only), indexed

@@ -80,11 +80,10 @@ std::string
 CacheKey(const ForestKernel& kernel, const ForestKernelOptions& options)
 {
     char buf[128];
-    std::snprintf(buf, sizeof(buf), "t%zu n%zu f%zu c%d rb%zu tb%zu g%zu",
+    std::snprintf(buf, sizeof(buf), "t%zu n%zu f%zu c%d rb%zu g%zu",
                   kernel.NumTrees(), kernel.NumNodes(),
                   kernel.num_features(), static_cast<int>(kernel.combine()),
-                  options.row_block, options.tile_node_budget,
-                  options.simd_groups);
+                  options.row_block, options.simd_groups);
     return buf;
 }
 
@@ -108,7 +107,6 @@ ForestKernel::Autotune(const std::vector<float>& lo,
 {
     const bool simd_ok = simd::RuntimeEnabled();
     tuning_.row_block = options_.row_block;
-    tuning_.tile_node_budget = options_.tile_node_budget;
     tuning_.groups = ClampGroups(options_.simd_groups);
     autotuned_ = false;
 
@@ -159,14 +157,6 @@ ForestKernel::Autotune(const std::vector<float>& lo,
     std::sort(row_blocks.begin(), row_blocks.end());
     row_blocks.erase(std::unique(row_blocks.begin(), row_blocks.end()),
                      row_blocks.end());
-    const std::size_t nn = NumNodes();
-    std::vector<std::size_t> budgets = {
-        std::min<std::size_t>(std::size_t{1} << 14, nn),
-        std::min<std::size_t>(std::size_t{1} << 16, nn), nn,
-        std::min(options_.tile_node_budget, nn)};
-    std::sort(budgets.begin(), budgets.end());
-    budgets.erase(std::unique(budgets.begin(), budgets.end()),
-                  budgets.end());
 
     const std::vector<float> sample = MakeSample(lo, hi);
     std::vector<float> out(kSampleRows);
@@ -178,35 +168,29 @@ ForestKernel::Autotune(const std::vector<float>& lo,
     std::size_t tried = 0;
     for (const auto& [groups, use_simd] : lanes) {
         for (const std::size_t rb : row_blocks) {
-            for (const std::size_t tb : budgets) {
-                const Tuning cand{rb, tb, groups, use_simd};
-                tuning_ = cand;
-                double ns = 0.0;
-                for (int rep = 0; rep < kReps; ++rep) {
-                    const auto t0 =
-                        std::chrono::steady_clock::now();
-                    RunStrided(sample.data(), kSampleRows, num_features_,
-                               out.data(), scratch);
-                    const auto t1 =
-                        std::chrono::steady_clock::now();
-                    const double rep_ns =
-                        std::chrono::duration<double, std::nano>(t1 - t0)
-                            .count();
-                    ns = rep == 0 ? rep_ns : std::min(ns, rep_ns);
-                }
-                ++tried;
-                if (!have_best || ns < best_ns) {
-                    have_best = true;
-                    best_ns = ns;
-                    best = cand;
-                }
+            const Tuning cand{rb, groups, use_simd};
+            tuning_ = cand;
+            double ns = 0.0;
+            for (int rep = 0; rep < kReps; ++rep) {
+                const auto t0 = std::chrono::steady_clock::now();
+                RunStrided(sample.data(), kSampleRows, num_features_,
+                           out.data(), scratch);
+                const auto t1 = std::chrono::steady_clock::now();
+                const double rep_ns =
+                    std::chrono::duration<double, std::nano>(t1 - t0)
+                        .count();
+                ns = rep == 0 ? rep_ns : std::min(ns, rep_ns);
+            }
+            ++tried;
+            if (!have_best || ns < best_ns) {
+                have_best = true;
+                best_ns = ns;
+                best = cand;
             }
         }
     }
     span.AddAttr("candidates", static_cast<double>(tried));
     span.AddAttr("winner_row_block", static_cast<double>(best.row_block));
-    span.AddAttr("winner_tile_budget",
-                 static_cast<double>(best.tile_node_budget));
     span.AddAttr("winner_simd_groups",
                  best.use_simd ? static_cast<double>(best.groups) : 0.0);
 

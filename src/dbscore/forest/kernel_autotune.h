@@ -3,8 +3,7 @@
  * Build-time autotuner for the forest kernel (ForestKernel::Autotune,
  * defined in kernel_autotune.cc).
  *
- * Instead of a fixed tile-fits-in-LLC heuristic, the tuner times a
- * small candidate grid of (inner loop, row block, tile node budget)
+ * The tuner times a small candidate grid of (inner loop, row block)
  * against the freshly compiled plan on a deterministic synthetic row
  * sample (fixed-seed, drawn from the ensemble's per-feature threshold
  * ranges so traversal paths are realistic), then adopts the fastest

@@ -233,6 +233,9 @@ struct DispatchCounters {
     /** Current device facts, not history: they survive a reset. */
     BreakerState breaker = BreakerState::kClosed;
     std::size_t lanes = 0;
+    /** Autoscaler decisions that grew or shrank the lane pool (fleet). */
+    std::size_t scale_ups = 0;
+    std::size_t scale_downs = 0;
 
     /** One-line rendering for the front ends' snapshots. */
     std::string ToString() const;
@@ -248,7 +251,8 @@ class DispatchCore {
     /**
      * One device. The front end keeps its work queue beside it,
      * guarded by @c mutex and signalled on @c cv, and may read or
-     * resize @c lanes under the mutex; the rest is the core's.
+     * resize @c lanes (counting the resize in @c counters) under the
+     * mutex; the rest is the core's.
      */
     struct Device {
         std::mutex mutex;

@@ -17,6 +17,9 @@ using trace::TraceCollector;
 
 namespace {
 
+/** ScoringService accounts every request in one traffic class. */
+constexpr std::size_t kClass = 0;
+
 /** Row-proportional share of an engine breakdown. */
 OffloadBreakdown
 ScaleBreakdown(const OffloadBreakdown& b, double k)
@@ -146,7 +149,7 @@ ScoringService::Stop()
         reply.finish = r.request.arrival.value_or(SimTime());
         reply.error = "service stopped before Start";
         const SimTime finish = reply.finish;
-        stats_.RecordRejected();
+        stats_.RecordRejected(kClass, /*quota=*/false);
         r.handle->Fulfill(std::move(reply));
         SettleOne(finish);
     }
@@ -177,7 +180,7 @@ PendingScorePtr
 ScoringService::Submit(ScoreRequest request)
 {
     auto handle = std::make_shared<PendingScore>();
-    stats_.RecordSubmitted();
+    stats_.RecordSubmitted(kClass);
     TraceCollector& tracer = TraceCollector::Get();
     const double submit_us = tracer.NowWallMicros();
     const std::size_t num_rows = request.num_rows;
@@ -208,7 +211,7 @@ ScoringService::Submit(ScoreRequest request)
                                    submit_us};
             root = pending.trace;
             admission_.push_back(std::move(pending));
-            stats_.RecordAdmitted();
+            stats_.RecordAdmitted(kClass);
         }
     }
 
@@ -216,7 +219,7 @@ ScoringService::Submit(ScoreRequest request)
         ScoreReply reply;
         reply.status = RequestStatus::kRejected;
         reply.error = std::move(reject_reason);
-        stats_.RecordRejected();
+        stats_.RecordRejected(kClass, /*quota=*/false);
         handle->Fulfill(std::move(reply));
     } else {
         // Wall span for the admission handoff, on the client's thread.
@@ -237,10 +240,11 @@ ScoringService::ScoreSync(ScoreRequest request)
 ServiceSnapshot
 ScoringService::Stats() const
 {
-    ServiceSnapshot snap = stats_.Snapshot();
+    ServiceSnapshot snap;
+    stats_.Snapshot({static_cast<ClassSnapshot*>(&snap), 1}, snap);
     // Dispatch and fault accounting lives with the devices, in the core.
     for (std::size_t d = 0; d < DispatchCore::kNumDevices; ++d) {
-        const DispatchCounters& c = snap.device[d] = core_.Counters(d);
+        const DispatchCounters& c = snap.devices[d] = core_.Counters(d);
         snap.batches += c.dispatches;
         snap.fault_attempts += c.faults;
         snap.retries += c.retries;
@@ -362,7 +366,7 @@ ScoringService::DispatcherLoop()
             reply.status = RequestStatus::kFailed;
             reply.finish = arrival;
             reply.error = "service stopped before dispatch";
-            stats_.RecordFailed(arrival, arrival);
+            stats_.RecordFailed(kClass, arrival, arrival);
             EmitRequestSpan(m, arrival, arrival, /*expired=*/false);
             m.handle->Fulfill(std::move(reply));
             SettleOne(arrival);
@@ -575,10 +579,10 @@ ScoringService::ExecuteBatch(std::size_t d, Batch& batch, BackendKind kind,
         reply.degraded = dm.degraded;
         reply.error = dm.error;
         if (expired) {
-            stats_.RecordExpired(arrival, dm.failed_at);
+            stats_.RecordExpired(kClass, arrival, dm.failed_at);
         } else {
             reply.attempts = dm.attempts;
-            stats_.RecordFailed(arrival, dm.failed_at);
+            stats_.RecordFailed(kClass, arrival, dm.failed_at);
         }
         EmitRequestSpan(m, arrival, dm.failed_at, expired);
         m.handle->Fulfill(std::move(reply));
@@ -659,7 +663,8 @@ ScoringService::ExecuteBatch(std::size_t d, Batch& batch, BackendKind kind,
             reply.predictions =
                 entry.forest.PredictBatch(m.request.rows);
         }
-        stats_.RecordCompleted(t, arrival, out.finish, out.degraded);
+        stats_.RecordCompleted(kClass, arrival, out.finish, t.latency,
+                               out.degraded, /*deadline_miss=*/false);
         EmitRequestSpan(m, arrival, out.finish, /*expired=*/false);
         {
             trace::ScopedSpan fulfill(StageKind::kReply, "fulfill",

@@ -125,18 +125,8 @@ SpServeQuery(QueryEngine& engine, ScoringService& service,
         std::vector<std::size_t> next;
         next.reserve(keep.size());
         for (std::size_t i : keep) {
-            const float v = reply.predictions[i];
-            bool holds;
-            switch (pred.op) {
-              case CompareOp::kEq: holds = v == pred.literal; break;
-              case CompareOp::kNe: holds = v != pred.literal; break;
-              case CompareOp::kLt: holds = v < pred.literal; break;
-              case CompareOp::kLe: holds = v <= pred.literal; break;
-              case CompareOp::kGt: holds = v > pred.literal; break;
-              case CompareOp::kGe: holds = v >= pred.literal; break;
-              default: holds = false; break;
-            }
-            if (holds) {
+            if (plan::ScorePredHolds(pred.op, reply.predictions[i],
+                                     pred.literal)) {
                 next.push_back(i);
             }
         }
@@ -182,47 +172,33 @@ SpServeQuery(QueryEngine& engine, ScoringService& service,
 QueryResult
 SpServeStats(ScoringService& service, const ExecStatement& stmt)
 {
-    const bool reset = GetIntParam(stmt, "reset").value_or(0) != 0;
-    ServiceSnapshot snap = service.Stats();
-    QueryResult result;
-    result.columns = {"metric", "value"};
-    auto add = [&result](const std::string& metric, double value) {
-        result.rows.push_back({metric, value});
+    auto rows = [](const ServiceSnapshot& snap, auto add) {
+        add("submitted", static_cast<double>(snap.submitted));
+        add("admitted", static_cast<double>(snap.admitted));
+        add("completed", static_cast<double>(snap.completed));
+        add("rejected", static_cast<double>(snap.rejected));
+        add("expired", static_cast<double>(snap.expired));
+        add("failed", static_cast<double>(snap.failed));
+        add("degraded_completed", static_cast<double>(snap.degraded));
+        add("batches", static_cast<double>(snap.batches));
+        add("mean_batch_requests", snap.batch_requests.mean);
+        add("latency_p50_ms", snap.latency.p50 * 1e3);
+        add("latency_p95_ms", snap.latency.p95 * 1e3);
+        add("latency_p99_ms", snap.latency.p99 * 1e3);
+        add("throughput_rps", snap.ThroughputRps());
+        add("fault_attempts", static_cast<double>(snap.fault_attempts));
+        add("retries", static_cast<double>(snap.retries));
+        add("fallback_batches", static_cast<double>(snap.fallback_batches));
+        add("breaker_opens", static_cast<double>(snap.breaker_opens));
+        add("fault_wasted_ms", snap.fault_wasted.millis());
+        add("retry_backoff_ms", snap.retry_backoff.millis());
+        static const char* kDeviceNames[3] = {"cpu", "gpu", "fpga"};
+        for (int d = 0; d < 3; ++d) {
+            add(StrFormat("breaker_%s", kDeviceNames[d]),
+                std::string(BreakerStateName(snap.devices[d].breaker)));
+        }
     };
-    add("submitted", static_cast<double>(snap.submitted));
-    add("admitted", static_cast<double>(snap.admitted));
-    add("completed", static_cast<double>(snap.completed));
-    add("rejected", static_cast<double>(snap.rejected));
-    add("expired", static_cast<double>(snap.expired));
-    add("failed", static_cast<double>(snap.failed));
-    add("degraded_completed",
-        static_cast<double>(snap.degraded_completed));
-    add("batches", static_cast<double>(snap.batches));
-    add("mean_batch_requests", snap.batch_requests.mean);
-    add("latency_p50_ms", snap.latency.p50 * 1e3);
-    add("latency_p95_ms", snap.latency.p95 * 1e3);
-    add("latency_p99_ms", snap.latency.p99 * 1e3);
-    add("throughput_rps", snap.ThroughputRps());
-    add("fault_attempts", static_cast<double>(snap.fault_attempts));
-    add("retries", static_cast<double>(snap.retries));
-    add("fallback_batches", static_cast<double>(snap.fallback_batches));
-    add("breaker_opens", static_cast<double>(snap.breaker_opens));
-    add("fault_wasted_ms", snap.fault_wasted.millis());
-    add("retry_backoff_ms", snap.retry_backoff.millis());
-    static const char* kDeviceNames[3] = {"cpu", "gpu", "fpga"};
-    for (int d = 0; d < 3; ++d) {
-        result.rows.push_back(
-            {StrFormat("breaker_%s", kDeviceNames[d]),
-             std::string(BreakerStateName(snap.device[d].breaker))});
-    }
-    if (reset) {
-        // Snapshot first, then reset: the caller gets the phase that
-        // just ended and the next sp_serve_stats starts from zero.
-        service.ResetStats();
-    }
-    result.message = StrFormat("%zu metrics%s", result.rows.size(),
-                               reset ? ", counters reset" : "");
-    return result;
+    return StatsProcResult(service, stmt, rows);
 }
 
 }  // namespace

@@ -13,10 +13,41 @@
 #ifndef DBSCORE_SERVE_SERVICE_PROC_H
 #define DBSCORE_SERVE_SERVICE_PROC_H
 
+#include <string>
+#include <utility>
+
+#include "dbscore/common/string_util.h"
 #include "dbscore/dbms/query_engine.h"
 #include "dbscore/serve/scoring_service.h"
 
 namespace dbscore::serve {
+
+/**
+ * The `metric,value` result of sp_serve_stats and sp_fleet_stats:
+ * @p add_rows(snapshot, add) fills it from one @p service Stats(), and
+ * with `@reset = 1` the service's counters reset after that snapshot,
+ * so the caller gets the phase that just ended and the next call
+ * starts from zero.
+ */
+template <typename Service, typename AddRows>
+QueryResult
+StatsProcResult(Service& service, const ExecStatement& stmt,
+                AddRows add_rows)
+{
+    const bool reset = GetIntParam(stmt, "reset").value_or(0) != 0;
+    QueryResult result;
+    result.columns = {"metric", "value"};
+    add_rows(service.Stats(),
+             [&result](const std::string& metric, Value value) {
+                 result.rows.push_back({metric, std::move(value)});
+             });
+    if (reset) {
+        service.ResetStats();
+    }
+    result.message = StrFormat("%zu metrics%s", result.rows.size(),
+                               reset ? ", counters reset" : "");
+    return result;
+}
 
 /**
  * Registers two stored procedures on @p engine against @p service
@@ -27,8 +58,9 @@ namespace dbscore::serve {
  *     Submits one request and blocks for its reply; returns one row of
  *     modeled timing (status, backend, batch size, latency, wait).
  *
- *   EXEC sp_serve_stats
+ *   EXEC sp_serve_stats [@reset = 1]
  *     Returns the service's live counters as rows of (metric, value).
+ *     With @reset = 1, zeroes the counters after reading them.
  */
 void RegisterServeProcedures(QueryEngine& engine, ScoringService& service);
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 
 namespace dbscore::serve {
@@ -22,13 +23,27 @@ Summarize(const RunningStats& stats, const QuantileSketch& sketch)
     return s;
 }
 
-SimTime
-ServiceSnapshot::Makespan() const
+double
+ClassSnapshot::MissRate() const
 {
-    if (completed + expired + failed == 0) {
+    return completed == 0 ? 0.0
+                          : static_cast<double>(deadline_misses) /
+                                static_cast<double>(completed);
+}
+
+std::size_t
+ClassSnapshot::Goodput() const
+{
+    return completed - deadline_misses;
+}
+
+SimTime
+AccountingSnapshot::Makespan() const
+{
+    if (last_finish <= first_arrival) {
         return SimTime();
     }
-    return Max(SimTime(), last_finish - first_arrival);
+    return last_finish - first_arrival;
 }
 
 double
@@ -49,7 +64,7 @@ ServiceSnapshot::RowThroughput() const
         return 0.0;
     }
     std::size_t rows = 0;
-    for (const DeviceServeStats& d : device) {
+    for (const DispatchCounters& d : devices) {
         rows += d.rows;
     }
     return static_cast<double>(rows) / span.seconds();
@@ -69,7 +84,7 @@ ServiceSnapshot::ToString() const
             "%zu fallback batches, %zu breaker opens, "
             "%zu degraded completions, wasted ",
             fault_attempts, retries, fallback_batches, breaker_opens,
-            degraded_completed)
+            degraded)
            << fault_wasted << ", backoff " << retry_backoff << "\n";
     }
     os << StrFormat(
@@ -86,49 +101,85 @@ ServiceSnapshot::ToString() const
        << Makespan() << "\n";
     static const char* kDeviceNames[3] = {"CPU ", "GPU ", "FPGA"};
     for (int d = 0; d < 3; ++d) {
-        if (device[d].dispatches + device[d].faults > 0) {
-            os << kDeviceNames[d] << ":     " << device[d].ToString() << "\n";
+        if (devices[d].dispatches + devices[d].faults > 0) {
+            os << kDeviceNames[d] << ":     " << devices[d].ToString()
+               << "\n";
         }
     }
     return os.str();
 }
 
+ServiceStats::ServiceStats(std::size_t num_classes) : classes_(num_classes)
+{
+}
+
 void
 ServiceStats::TouchSpanLocked(SimTime arrival, SimTime finish)
 {
-    if (!any_arrival_ || arrival < totals_.first_arrival) {
-        totals_.first_arrival = arrival;
+    if (!any_arrival_ || arrival < first_arrival_) {
+        first_arrival_ = arrival;
         any_arrival_ = true;
     }
-    totals_.last_finish = Max(totals_.last_finish, finish);
+    last_finish_ = Max(last_finish_, finish);
 }
 
 void
-ServiceStats::RecordSubmitted()
+ServiceStats::RecordSubmitted(std::size_t cls)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.submitted;
+    ++classes_[cls].counts.submitted;
 }
 
 void
-ServiceStats::RecordAdmitted()
+ServiceStats::RecordAdmitted(std::size_t cls)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.admitted;
+    ++classes_[cls].counts.admitted;
 }
 
 void
-ServiceStats::RecordRejected()
+ServiceStats::RecordRejected(std::size_t cls, bool quota)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.rejected;
+    ClassSnapshot& c = classes_[cls].counts;
+    ++c.rejected;
+    if (quota) {
+        ++c.rejected_quota;
+    }
 }
 
 void
-ServiceStats::RecordExpired(SimTime arrival, SimTime finish)
+ServiceStats::RecordExpired(std::size_t cls, SimTime arrival, SimTime finish)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.expired;
+    ++classes_[cls].counts.expired;
+    TouchSpanLocked(arrival, finish);
+}
+
+void
+ServiceStats::RecordFailed(std::size_t cls, SimTime arrival, SimTime finish)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++classes_[cls].counts.failed;
+    TouchSpanLocked(arrival, finish);
+}
+
+void
+ServiceStats::RecordCompleted(std::size_t cls, SimTime arrival,
+                              SimTime finish, SimTime latency,
+                              bool degraded, bool deadline_miss)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ClassAccum& accum = classes_[cls];
+    ++accum.counts.completed;
+    if (degraded) {
+        ++accum.counts.degraded;
+    }
+    if (deadline_miss) {
+        ++accum.counts.deadline_misses;
+    }
+    accum.latency_stats.Add(latency.seconds());
+    accum.latency_sketch.Add(latency.seconds());
     TouchSpanLocked(arrival, finish);
 }
 
@@ -143,54 +194,37 @@ ServiceStats::RecordBatch(std::size_t num_requests, std::size_t num_rows)
 }
 
 void
-ServiceStats::RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                              SimTime finish, bool degraded)
+ServiceStats::Snapshot(std::span<ClassSnapshot> classes,
+                       AccountingSnapshot& snap) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.completed;
-    if (degraded) {
-        ++totals_.degraded_completed;
+    DBS_ASSERT(classes.size() == classes_.size());
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        classes[c] = classes_[c].counts;
+        classes[c].latency =
+            Summarize(classes_[c].latency_stats, classes_[c].latency_sketch);
     }
-    TouchSpanLocked(arrival, finish);
-    latency_stats_.Add(timing.latency.seconds());
-    latency_sketch_.Add(timing.latency.seconds());
-    // Stage totals are no longer accumulated here: the trace subsystem
-    // is the single source of truth. ScoringService::Stats() fills
-    // snap.stage_totals from the service's trace domain.
-}
-
-void
-ServiceStats::RecordFailed(SimTime arrival, SimTime finish)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++totals_.failed;
-    TouchSpanLocked(arrival, finish);
-}
-
-ServiceSnapshot
-ServiceStats::Snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ServiceSnapshot snap = totals_;
-    snap.latency = Summarize(latency_stats_, latency_sketch_);
     snap.batch_requests =
         Summarize(batch_request_stats_, batch_request_sketch_);
     snap.batch_rows = Summarize(batch_row_stats_, batch_row_sketch_);
-    return snap;
+    snap.first_arrival = first_arrival_;
+    snap.last_finish = last_finish_;
 }
 
 void
 ServiceStats::Reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    totals_ = ServiceSnapshot();
-    any_arrival_ = false;
-    latency_stats_ = RunningStats();
-    latency_sketch_ = QuantileSketch();
+    for (ClassAccum& accum : classes_) {
+        accum = ClassAccum();
+    }
     batch_request_stats_ = RunningStats();
     batch_request_sketch_ = QuantileSketch();
     batch_row_stats_ = RunningStats();
     batch_row_sketch_ = QuantileSketch();
+    any_arrival_ = false;
+    first_arrival_ = SimTime();
+    last_finish_ = SimTime();
 }
 
 }  // namespace dbscore::serve

@@ -1,25 +1,29 @@
 /**
  * @file
- * Thread-safe serving metrics.
+ * Thread-safe request accounting for the serve and fleet front ends.
  *
- * ServiceStats is the service's flight recorder: admission counters,
- * end-to-end latency quantiles and the coalesced-batch size
- * distribution. ServiceSnapshot adds the per-device dispatch and fault
- * accounting the DispatchCore keeps and the per-stage modeled-time
- * totals (the paper's Figure-11 taxonomy) the trace holds. Any thread
- * may record; any thread may Snapshot() while the service runs —
- * snapshots are consistent copies taken under one lock.
+ * ServiceStats is the one accumulator of request terminal states:
+ * per traffic class (one for ScoringService, one per SLO class for
+ * FleetService) it counts admissions, rejections, expiries, failures
+ * and completions and keeps the end-to-end latency quantiles; the
+ * classes share one modeled [first arrival, last finish] span. The
+ * snapshots add the per-device dispatch and fault accounting the
+ * DispatchCore keeps. Any thread may record; any thread may snapshot
+ * while the service runs — the accumulator's part is a consistent
+ * copy taken under one lock.
  */
 #ifndef DBSCORE_SERVE_SERVICE_STATS_H
 #define DBSCORE_SERVE_SERVICE_STATS_H
 
+#include <array>
 #include <cstddef>
 #include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "dbscore/common/stats.h"
 #include "dbscore/serve/dispatch_core.h"
-#include "dbscore/serve/request.h"
 
 namespace dbscore::serve {
 
@@ -36,8 +40,49 @@ struct DistSummary {
 /** Summary of one distribution recorded into @p stats and @p sketch. */
 DistSummary Summarize(const RunningStats& stats, const QuantileSketch& sketch);
 
-/** Per-device-class dispatch accounting, kept by the DispatchCore. */
-using DeviceServeStats = DispatchCounters;
+/** One traffic class's terminal-state and latency accounting. */
+struct ClassSnapshot {
+    std::size_t submitted = 0;
+    std::size_t admitted = 0;
+    /** Rejections of every cause; rejected_quota counts the quota ones. */
+    std::size_t rejected = 0;
+    std::size_t rejected_quota = 0;
+    std::size_t expired = 0;
+    std::size_t completed = 0;
+    /** Requests that exhausted every permitted retry (kFailed). */
+    std::size_t failed = 0;
+    /** Completed answers produced by the CPU degradation path. */
+    std::size_t degraded = 0;
+    /** Completed answers that finished past the class deadline. */
+    std::size_t deadline_misses = 0;
+    /** End-to-end modeled latency of completed requests, seconds. */
+    DistSummary latency;
+
+    /** Rejections for want of capacity (queue full, stopped, invalid). */
+    std::size_t RejectedCapacity() const { return rejected - rejected_quota; }
+    /** Deadline misses over completed answers (0 when none). */
+    double MissRate() const;
+    /** Completed strictly within deadline (the fleet bench's goodput). */
+    std::size_t Goodput() const;
+};
+
+/** What the serve and fleet snapshots share beside their classes. */
+struct AccountingSnapshot {
+    /** Indexed by DeviceClass (kCpu, kGpu, kFpga); kept by the core. */
+    std::array<DispatchCounters, DispatchCore::kNumDevices> devices;
+    /**
+     * Requests and rows per coalesced batch. Only ScoringService
+     * coalesces; the fleet dispatches requests singly and records none.
+     */
+    DistSummary batch_requests;
+    DistSummary batch_rows;
+    /** Earliest arrival and latest terminal state seen (modeled). */
+    SimTime first_arrival;
+    SimTime last_finish;
+
+    /** last_finish - first_arrival; zero before the first terminal state. */
+    SimTime Makespan() const;
+};
 
 /**
  * Fleet-wide modeled time spent in each pipeline stage. Derived from
@@ -56,19 +101,10 @@ struct StageTotals {
     SimTime scoring;
 };
 
-/** A consistent copy of every counter at one instant. */
-struct ServiceSnapshot {
-    std::size_t submitted = 0;
-    std::size_t admitted = 0;
-    std::size_t rejected = 0;
-    std::size_t expired = 0;
-    std::size_t completed = 0;
+/** ScoringService's snapshot: its one class plus the shared part. */
+struct ServiceSnapshot : ClassSnapshot, AccountingSnapshot {
+    /** Successful dispatches, summed over devices. */
     std::size_t batches = 0;
-
-    /** Requests that exhausted every permitted retry (kFailed). */
-    std::size_t failed = 0;
-    /** Completed requests answered by the CPU degradation path. */
-    std::size_t degraded_completed = 0;
     /** Dispatch attempts aborted by an injected fault. */
     std::size_t fault_attempts = 0;
     /** Re-dispatches after a faulted attempt (excludes the first try). */
@@ -82,23 +118,7 @@ struct ServiceSnapshot {
     /** Modeled backoff delay paid before retries. */
     SimTime retry_backoff;
 
-    /** End-to-end modeled latency of completed requests, seconds. */
-    DistSummary latency;
-    /** Requests per dispatched batch. */
-    DistSummary batch_requests;
-    /** Rows per dispatched batch. */
-    DistSummary batch_rows;
-
     StageTotals stage_totals;
-    /** Indexed by DeviceClass (kCpu, kGpu, kFpga). */
-    DeviceServeStats device[3];
-
-    /** Earliest arrival and latest completion seen (modeled). */
-    SimTime first_arrival;
-    SimTime last_finish;
-
-    /** last_finish - first_arrival; zero before the first completion. */
-    SimTime Makespan() const;
 
     /** Completed requests per modeled second over the makespan. */
     double ThroughputRps() const;
@@ -110,48 +130,65 @@ struct ServiceSnapshot {
     std::string ToString() const;
 };
 
-/** Thread-safe accumulator behind ServiceSnapshot. */
+/** Thread-safe accumulator behind both front ends' snapshots. */
 class ServiceStats {
  public:
-    void RecordSubmitted();
-    void RecordAdmitted();
-    void RecordRejected();
-    void RecordExpired(SimTime arrival, SimTime finish);
+    /** Traffic classes are indexed [0, @p num_classes). */
+    explicit ServiceStats(std::size_t num_classes = 1);
+
+    void RecordSubmitted(std::size_t cls);
+    void RecordAdmitted(std::size_t cls);
+    /** @p quota: the class's admission quota turned it away. */
+    void RecordRejected(std::size_t cls, bool quota);
+    void RecordExpired(std::size_t cls, SimTime arrival, SimTime finish);
+    /** One request that exhausted every permitted retry. */
+    void RecordFailed(std::size_t cls, SimTime arrival, SimTime finish);
+    /**
+     * One completed request with end-to-end @p latency. @p degraded:
+     * answered by the CPU degradation path; @p deadline_miss: finished
+     * past its class deadline.
+     */
+    void RecordCompleted(std::size_t cls, SimTime arrival, SimTime finish,
+                         SimTime latency, bool degraded, bool deadline_miss);
 
     /**
      * Size of one coalesced dispatch. Per-device dispatch and fault
-     * counters live in the DispatchCore; ScoringService::Stats() merges
-     * them into the snapshot.
+     * counters live in the DispatchCore; the front ends merge them
+     * into their snapshots.
      */
     void RecordBatch(std::size_t num_requests, std::size_t num_rows);
 
-    /** One completed member of a dispatched batch. */
-    void RecordCompleted(const RequestTiming& timing, SimTime arrival,
-                         SimTime finish, bool degraded);
-
-    /** One member whose batch exhausted every permitted retry. */
-    void RecordFailed(SimTime arrival, SimTime finish);
-
-    ServiceSnapshot Snapshot() const;
+    /**
+     * One consistent copy under the lock: class c into @p classes[c]
+     * (one entry per class), the span and batch shape into @p snap.
+     */
+    void Snapshot(std::span<ClassSnapshot> classes,
+                  AccountingSnapshot& snap) const;
 
     /**
-     * Zeroes every counter and distribution for a fresh measurement
-     * phase. In-flight requests settle into the new phase's counters,
-     * so a snapshot taken mid-flight can show completions without
-     * admissions.
+     * Zeroes every class, the span and the batch shape for a fresh
+     * measurement phase. In-flight requests settle into the new
+     * phase's counters, so a snapshot taken mid-flight can show
+     * completions without admissions.
      */
     void Reset();
 
  private:
+    struct ClassAccum {
+        ClassSnapshot counts;
+        RunningStats latency_stats;
+        QuantileSketch latency_sketch;
+    };
+
     mutable std::mutex mutex_;
-    ServiceSnapshot totals_;
-    bool any_arrival_ = false;
-    RunningStats latency_stats_;
-    QuantileSketch latency_sketch_;
+    std::vector<ClassAccum> classes_;
     RunningStats batch_request_stats_;
     QuantileSketch batch_request_sketch_;
     RunningStats batch_row_stats_;
     QuantileSketch batch_row_sketch_;
+    bool any_arrival_ = false;
+    SimTime first_arrival_;
+    SimTime last_finish_;
 
     /** Widens the modeled [first arrival, last finish] span. */
     void TouchSpanLocked(SimTime arrival, SimTime finish);

@@ -405,8 +405,8 @@ TEST(ServeFaultTest, BreakerOpensDegradesThenProbesClosed)
     serve::ServiceSnapshot snap = service->Stats();
     EXPECT_EQ(snap.breaker_opens, 1u);
     EXPECT_EQ(snap.fallback_batches, 1u);
-    EXPECT_EQ(snap.degraded_completed, 1u);
-    EXPECT_EQ(snap.device[static_cast<int>(DeviceClass::kFpga)].breaker,
+    EXPECT_EQ(snap.degraded, 1u);
+    EXPECT_EQ(snap.devices[static_cast<int>(DeviceClass::kFpga)].breaker,
               serve::BreakerState::kOpen);
 
     // Request B arrives inside the cooldown: placement re-routes it to
@@ -434,7 +434,7 @@ TEST(ServeFaultTest, BreakerOpensDegradesThenProbesClosed)
     EXPECT_EQ(rc.attempts, 1u);
 
     snap = service->Stats();
-    EXPECT_EQ(snap.device[static_cast<int>(DeviceClass::kFpga)].breaker,
+    EXPECT_EQ(snap.devices[static_cast<int>(DeviceClass::kFpga)].breaker,
               serve::BreakerState::kClosed);
     EXPECT_EQ(snap.completed, 3u);
     EXPECT_EQ(snap.failed, 0u);
@@ -529,10 +529,10 @@ TEST(ServeFaultTest, ConcurrentChaosSettlesEveryRequest)
     EXPECT_EQ(snap.rejected, 0u);
     EXPECT_GT(snap.fault_attempts, 0u);
     EXPECT_LE(snap.retries, snap.fault_attempts);
-    EXPECT_LE(snap.degraded_completed, snap.completed);
+    EXPECT_LE(snap.degraded, snap.completed);
     std::size_t device_faults = 0;
     for (int d = 0; d < 3; ++d) {
-        device_faults += snap.device[d].faults;
+        device_faults += snap.devices[d].faults;
     }
     EXPECT_EQ(device_faults, snap.fault_attempts);
 

@@ -443,6 +443,34 @@ TEST(FleetServiceTest, RejectsUnknownTenantAndEnforcesQuota)
               RequestStatus::kRejected);
 }
 
+TEST(FleetServiceTest, StatsAfterResetReportLiveTenantAndModelCounts)
+{
+    const FleetFixture& f = Fixture();
+    FleetService service(f.profile, FleetConfig{});
+    service.RegisterModel("a", f.ensemble, f.stats);
+    service.RegisterModel("b", f.ensemble, f.stats);
+    service.RegisterTenant(1, "a", SloClass::kGold);
+    service.RegisterTenant(2, "b", SloClass::kSilver);
+    service.RegisterTenant(3, "b", SloClass::kBronze);
+    service.Start();
+    FleetRequest request;
+    request.tenant_id = 2;
+    ASSERT_EQ(service.ScoreSync(std::move(request)).status,
+              RequestStatus::kCompleted);
+
+    service.ResetStats();
+    // Tenants and models registered after the reset count too.
+    service.RegisterModel("c", f.ensemble, f.stats);
+    service.RegisterTenant(4, "c", SloClass::kGold);
+    const FleetSnapshot snap = service.Stats();
+    EXPECT_EQ(snap.tenants, 4u);
+    EXPECT_EQ(snap.models, 3u);
+    EXPECT_EQ(snap.Submitted(), 0u);
+    EXPECT_EQ(snap.Completed(), 0u);
+    EXPECT_TRUE(snap.Makespan().is_zero());
+    service.Stop();
+}
+
 TEST(FleetServiceTest, GoldOutrunsBronzeUnderHeldBacklog)
 {
     const FleetFixture& f = Fixture();
@@ -588,7 +616,7 @@ TEST(FleetServiceTest, EightThreadChaosSettlesEveryRequest)
     for (const ClassSnapshot& c : snap.classes) {
         class_submitted += c.submitted;
         class_settled += c.completed + c.expired + c.failed +
-                         c.rejected_quota + c.rejected_capacity;
+                         c.rejected;
     }
     EXPECT_EQ(class_submitted,
               static_cast<std::size_t>(kThreads * kPerThread));

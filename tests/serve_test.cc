@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "dbscore/serve/batch_coalescer.h"
 #include "dbscore/serve/scoring_service.h"
 #include "dbscore/serve/service_proc.h"
+#include "dbscore/serve/service_stats.h"
 
 namespace dbscore::serve {
 namespace {
@@ -150,6 +152,185 @@ TEST(BatchCoalescerTest, RejectsBadConfig)
     config = CoalescerConfig{};
     config.window = SimTime::Millis(-1.0);
     EXPECT_THROW(BatchCoalescer{config}, InvalidArgument);
+}
+
+// ----------------------------------------------------- service stats --
+
+/** Every counter and summary of @p c is zero. */
+void
+ExpectZero(const ClassSnapshot& c)
+{
+    EXPECT_EQ(c.submitted, 0u);
+    EXPECT_EQ(c.admitted, 0u);
+    EXPECT_EQ(c.rejected, 0u);
+    EXPECT_EQ(c.rejected_quota, 0u);
+    EXPECT_EQ(c.expired, 0u);
+    EXPECT_EQ(c.completed, 0u);
+    EXPECT_EQ(c.failed, 0u);
+    EXPECT_EQ(c.degraded, 0u);
+    EXPECT_EQ(c.deadline_misses, 0u);
+    EXPECT_EQ(c.latency.count, 0u);
+    EXPECT_EQ(c.latency.p99, 0.0);
+}
+
+SimTime
+Ms(double ms)
+{
+    return SimTime::Millis(ms);
+}
+
+TEST(ServiceStatsTest, OneClassCountsEveryTerminalState)
+{
+    ServiceStats stats;
+    for (int i = 0; i < 5; ++i) {
+        stats.RecordSubmitted(0);
+    }
+    for (int i = 0; i < 4; ++i) {
+        stats.RecordAdmitted(0);
+    }
+    stats.RecordRejected(0, /*quota=*/false);
+    stats.RecordExpired(0, Ms(1), Ms(3));
+    stats.RecordFailed(0, Ms(2), Ms(9));
+    stats.RecordCompleted(0, Ms(4), Ms(6), Ms(2), /*degraded=*/true,
+                          /*deadline_miss=*/false);
+    stats.RecordCompleted(0, Ms(5), Ms(8), Ms(3), /*degraded=*/false,
+                          /*deadline_miss=*/false);
+    stats.RecordBatch(2, 100);
+    stats.RecordBatch(4, 300);
+
+    ClassSnapshot cls;
+    AccountingSnapshot snap;
+    stats.Snapshot({&cls, 1}, snap);
+    EXPECT_EQ(cls.submitted, 5u);
+    EXPECT_EQ(cls.admitted, 4u);
+    EXPECT_EQ(cls.rejected, 1u);
+    EXPECT_EQ(cls.rejected_quota, 0u);
+    EXPECT_EQ(cls.RejectedCapacity(), 1u);
+    EXPECT_EQ(cls.expired, 1u);
+    EXPECT_EQ(cls.failed, 1u);
+    EXPECT_EQ(cls.completed, 2u);
+    EXPECT_EQ(cls.degraded, 1u);
+    EXPECT_EQ(cls.deadline_misses, 0u);
+    EXPECT_EQ(cls.Goodput(), 2u);
+    // Only completions enter the latency summary.
+    EXPECT_EQ(cls.latency.count, 2u);
+    EXPECT_DOUBLE_EQ(cls.latency.max, Ms(3).seconds());
+    EXPECT_EQ(snap.batch_requests.count, 2u);
+    EXPECT_DOUBLE_EQ(snap.batch_requests.mean, 3.0);
+    EXPECT_DOUBLE_EQ(snap.batch_rows.mean, 200.0);
+    // Expired and failed requests widen the span too.
+    EXPECT_EQ(snap.first_arrival, Ms(1));
+    EXPECT_EQ(snap.last_finish, Ms(9));
+    EXPECT_EQ(snap.Makespan(), Ms(9) - Ms(1));
+}
+
+TEST(ServiceStatsTest, ThreeClassesSplitQuotaCapacityAndDeadlineMisses)
+{
+    ServiceStats stats(3);
+    stats.RecordRejected(0, /*quota=*/true);
+    stats.RecordRejected(0, /*quota=*/true);
+    stats.RecordRejected(0, /*quota=*/false);
+    stats.RecordRejected(2, /*quota=*/false);
+    for (int i = 0; i < 4; ++i) {
+        stats.RecordCompleted(0, Ms(0), Ms(10), Ms(10), /*degraded=*/false,
+                              /*deadline_miss=*/i == 0);
+    }
+    stats.RecordCompleted(2, Ms(0), Ms(50), Ms(50), /*degraded=*/true,
+                          /*deadline_miss=*/true);
+
+    std::array<ClassSnapshot, 3> classes;
+    AccountingSnapshot snap;
+    stats.Snapshot(classes, snap);
+    const ClassSnapshot& gold = classes[0];
+    EXPECT_EQ(gold.rejected, 3u);
+    EXPECT_EQ(gold.rejected_quota, 2u);
+    EXPECT_EQ(gold.RejectedCapacity(), 1u);
+    EXPECT_EQ(gold.completed, 4u);
+    EXPECT_EQ(gold.deadline_misses, 1u);
+    EXPECT_DOUBLE_EQ(gold.MissRate(), 0.25);
+    EXPECT_EQ(gold.Goodput(), 3u);
+    ExpectZero(classes[1]);
+    const ClassSnapshot& bronze = classes[2];
+    EXPECT_EQ(bronze.rejected, 1u);
+    EXPECT_EQ(bronze.rejected_quota, 0u);
+    EXPECT_EQ(bronze.RejectedCapacity(), 1u);
+    EXPECT_EQ(bronze.degraded, 1u);
+    EXPECT_DOUBLE_EQ(bronze.MissRate(), 1.0);
+    EXPECT_EQ(bronze.Goodput(), 0u);
+    // Classes keep separate latency summaries.
+    EXPECT_DOUBLE_EQ(gold.latency.max, Ms(10).seconds());
+    EXPECT_DOUBLE_EQ(bronze.latency.p50, Ms(50).seconds());
+}
+
+TEST(ServiceStatsTest, SpanCoversEveryClass)
+{
+    ServiceStats stats(3);
+    stats.RecordSubmitted(0);
+    ClassSnapshot none[3];
+    AccountingSnapshot snap;
+    stats.Snapshot(none, snap);
+    EXPECT_TRUE(snap.Makespan().is_zero());  // no terminal state yet
+
+    stats.RecordCompleted(0, Ms(10), Ms(20), Ms(10), false, false);
+    stats.RecordExpired(1, Ms(5), Ms(12));
+    stats.RecordFailed(2, Ms(15), Ms(40));
+    ClassSnapshot classes[3];
+    stats.Snapshot(classes, snap);
+    EXPECT_EQ(snap.first_arrival, Ms(5));
+    EXPECT_EQ(snap.last_finish, Ms(40));
+    EXPECT_EQ(snap.Makespan(), Ms(40) - Ms(5));
+}
+
+TEST(ServiceStatsTest, LatencyQuantilesOnKnownSequence)
+{
+    // 1..101 ms recorded out of order: order statistics are exact.
+    ServiceStats stats;
+    for (int i = 0; i < 101; ++i) {
+        const double ms = 1.0 + (i * 37) % 101;
+        stats.RecordCompleted(0, Ms(0), Ms(ms), Ms(ms), false, false);
+    }
+    ClassSnapshot cls;
+    AccountingSnapshot snap;
+    stats.Snapshot({&cls, 1}, snap);
+    EXPECT_EQ(cls.latency.count, 101u);
+    EXPECT_NEAR(cls.latency.mean, 0.051, 1e-12);
+    EXPECT_NEAR(cls.latency.p50, 0.051, 1e-12);
+    EXPECT_NEAR(cls.latency.p95, 0.096, 1e-12);
+    EXPECT_NEAR(cls.latency.p99, 0.100, 1e-12);
+    EXPECT_NEAR(cls.latency.max, 0.101, 1e-12);
+}
+
+TEST(ServiceStatsTest, ResetZeroesEveryClass)
+{
+    ServiceStats stats(3);
+    for (std::size_t c = 0; c < 3; ++c) {
+        stats.RecordSubmitted(c);
+        stats.RecordAdmitted(c);
+        stats.RecordRejected(c, /*quota=*/c == 1);
+        stats.RecordExpired(c, Ms(1), Ms(2));
+        stats.RecordFailed(c, Ms(1), Ms(3));
+        stats.RecordCompleted(c, Ms(1), Ms(4), Ms(3), true, true);
+    }
+    stats.RecordBatch(3, 30);
+    stats.Reset();
+
+    std::array<ClassSnapshot, 3> classes;
+    AccountingSnapshot snap;
+    stats.Snapshot(classes, snap);
+    for (const ClassSnapshot& c : classes) {
+        ExpectZero(c);
+    }
+    EXPECT_EQ(snap.batch_requests.count, 0u);
+    EXPECT_EQ(snap.batch_rows.count, 0u);
+    EXPECT_TRUE(snap.Makespan().is_zero());
+
+    // The next phase's span starts from its own first arrival.
+    stats.RecordCompleted(2, Ms(7), Ms(9), Ms(2), false, false);
+    stats.Snapshot(classes, snap);
+    EXPECT_EQ(snap.first_arrival, Ms(7));
+    EXPECT_EQ(snap.Makespan(), Ms(9) - Ms(7));
+    EXPECT_EQ(classes[2].completed, 1u);
+    ExpectZero(classes[0]);
 }
 
 // --------------------------------------------------- admission queue --
