@@ -327,6 +327,9 @@ AppendOp(const LogicalPlan& plan, const LogicalOp& op, int depth,
     if (op.kind == LogicalOpKind::kAggregate && op.fused) {
         os << " [fused]";
     }
+    if (op.kind == LogicalOpKind::kSort && op.fused) {
+        os << " [top-k]";
+    }
     os << "\n";
     if (op.input != nullptr) {
         AppendOp(plan, *op.input, depth + 1, os);

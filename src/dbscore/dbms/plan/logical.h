@@ -13,7 +13,8 @@
  * expanded to "all non-label columns in table order", the sp_score_model
  * convention). The chain is what the rule-based rewriter
  * (plan/rewrite.h) annotates — column pruning, zone-map predicate
- * pushdown, SCORE-threshold pushdown, score-aggregate fusion — and what
+ * pushdown, SCORE-threshold pushdown, score-aggregate fusion,
+ * sort-limit fusion — and what
  * EXEC sp_explain prints; execution happens in plan/physical.h.
  */
 #ifndef DBSCORE_DBMS_PLAN_LOGICAL_H
@@ -102,8 +103,9 @@ struct LogicalOp {
     // -- kFilterScore -------------------------------------------------
     std::vector<ScorePredicate> score_predicates;
 
-    // -- kAggregate ---------------------------------------------------
-    /** Rewriter: aggregates fold into the streaming scoring loop. */
+    // -- kAggregate, kSort --------------------------------------------
+    /** Rewriter: kAggregate folds into the streaming scoring loop;
+     * kSort keeps only its kLimit's rows, in a bounded top-k heap. */
     bool fused = false;
 };
 

@@ -184,6 +184,101 @@ EvaluateAggregate(const Table& table, const AggregateItem& item,
     throw InvalidArgument("unknown aggregate");
 }
 
+/** True when ORDER BY key @p a sorts strictly before @p b. */
+bool
+KeyBefore(const Value& a, const Value& b, bool descending)
+{
+    const int cmp = CompareValues(a, b);
+    return descending ? cmp > 0 : cmp < 0;
+}
+
+/** The stable ORDER BY permutation of @p keys: ties keep key order. */
+std::vector<std::size_t>
+StableSortOrder(const std::vector<Value>& keys, bool descending)
+{
+    std::vector<std::size_t> perm(keys.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return KeyBefore(keys[a], keys[b], descending);
+                     });
+    return perm;
+}
+
+/**
+ * The bounded top-k of a fused Sort+Limit (rewrite Rule 4). Of the
+ * rows offered in scan order it keeps the k that StableSortOrder puts
+ * first, so Take() equals the full stable sort cut to k rows. The
+ * heap's front is the worst kept row; a later row enters only when its
+ * key sorts strictly before that row's (on equal keys the earlier row
+ * wins), and only then are its projected values built.
+ */
+class TopKRows {
+ public:
+    TopKRows(std::size_t k, bool descending) : k_(k), desc_(descending)
+    {
+        DBS_ASSERT(k > 0);
+    }
+
+    /** Offers the next scan row; @p build_row makes its values. */
+    template <typename BuildRow>
+    void
+    Offer(Value key, const BuildRow& build_row)
+    {
+        const std::size_t seq = next_seq_++;
+        if (heap_.size() == k_) {
+            if (!KeyBefore(key, heap_.front().key, desc_)) {
+                return;
+            }
+            std::pop_heap(heap_.begin(), heap_.end(), Before{desc_});
+            heap_.back() = {std::move(key), seq, build_row()};
+        } else {
+            heap_.push_back({std::move(key), seq, build_row()});
+        }
+        std::push_heap(heap_.begin(), heap_.end(), Before{desc_});
+    }
+
+    /** The kept rows in ORDER BY order. */
+    std::vector<std::vector<Value>>
+    Take()
+    {
+        std::sort_heap(heap_.begin(), heap_.end(), Before{desc_});
+        std::vector<std::vector<Value>> rows;
+        rows.reserve(heap_.size());
+        for (Entry& entry : heap_) {
+            rows.push_back(std::move(entry.row));
+        }
+        heap_.clear();
+        return rows;
+    }
+
+ private:
+    struct Entry {
+        Value key;
+        std::size_t seq = 0;
+        std::vector<Value> row;
+    };
+
+    /** Full order: key, then scan sequence (the stable sort's ties). */
+    struct Before {
+        bool desc;
+        bool
+        operator()(const Entry& a, const Entry& b) const
+        {
+            const int cmp = CompareValues(a.key, b.key);
+            if (cmp != 0) {
+                return desc ? cmp > 0 : cmp < 0;
+            }
+            return a.seq < b.seq;
+        }
+    };
+
+    std::size_t k_;
+    bool desc_;
+    std::size_t next_seq_ = 0;
+    std::vector<Entry> heap_;
+};
+
 }  // namespace
 
 PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
@@ -201,6 +296,11 @@ PhysicalPlan::PhysicalPlan(LogicalPlan logical, const Database& db)
     }
     if (const LogicalOp* op = logical_.Find(LogicalOpKind::kAggregate)) {
         fused_aggregate_ = op->fused;
+    }
+    if (const LogicalOp* op = logical_.Find(LogicalOpKind::kSort)) {
+        if (op->fused) {
+            top_k_ = logical_.stmt.top;
+        }
     }
 
     const std::size_t label_col = logical_.label_col;
@@ -264,11 +364,12 @@ PhysicalPlan::Execute(const Database& db) const
     return uses_score() ? ExecuteScore(table) : ExecutePlain(table);
 }
 
-// The pre-planner interpreter, preserved verbatim for plain
-// statements on in-memory tables: Value-typed filtering, stable
-// ORDER BY, TOP after sort. Paged tables (numeric-only by
-// construction) are read through FloatAt, so plain SELECTs also work
-// against the out-of-core data plane.
+// The pre-planner interpreter's semantics for plain statements on
+// in-memory tables: Value-typed filtering, stable ORDER BY, TOP after
+// sort (a fused TOP k ORDER BY keeps the same k rows in a bounded
+// heap). Paged tables (numeric-only by construction) are read through
+// FloatAt, so plain SELECTs also work against the out-of-core data
+// plane.
 QueryResult
 PhysicalPlan::ExecutePlain(const Table& table) const
 {
@@ -313,23 +414,7 @@ PhysicalPlan::ExecutePlain(const Table& table) const
         return result;
     }
 
-    // ORDER BY (stable, so ties keep table order), then TOP.
-    if (stmt.order_by.has_value()) {
-        const std::size_t col = table.ColumnIndex(stmt.order_by->column);
-        const bool desc = stmt.order_by->descending;
-        std::stable_sort(matched.begin(), matched.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             int cmp =
-                                 CompareValues(PlainCell(table, a, col),
-                                               PlainCell(table, b, col));
-                             return desc ? cmp > 0 : cmp < 0;
-                         });
-    }
-    if (stmt.top.has_value() && matched.size() > *stmt.top) {
-        matched.resize(*stmt.top);
-    }
-
-    // Project.
+    // Project, ORDER BY (stable, so ties keep table order), TOP.
     std::vector<std::size_t> projection;
     if (stmt.star) {
         for (std::size_t c = 0; c < table.NumColumns(); ++c) {
@@ -342,14 +427,47 @@ PhysicalPlan::ExecutePlain(const Table& table) const
             result.columns.push_back(name);
         }
     }
-    result.rows.reserve(matched.size());
-    for (std::size_t r : matched) {
+    auto project = [&](std::size_t r) {
         std::vector<Value> row;
         row.reserve(projection.size());
         for (std::size_t c : projection) {
             row.push_back(PlainCell(table, r, c));
         }
-        result.rows.push_back(std::move(row));
+        return row;
+    };
+    const std::size_t order_col =
+        stmt.order_by.has_value() ? table.ColumnIndex(stmt.order_by->column)
+                                  : table.NumColumns();
+    if (top_k_.has_value()) {
+        TopKRows top(*top_k_, stmt.order_by->descending);
+        for (std::size_t r : matched) {
+            top.Offer(PlainCell(table, r, order_col),
+                      [&] { return project(r); });
+        }
+        result.rows = top.Take();
+    } else {
+        if (stmt.order_by.has_value()) {
+            // Each key is read once; a comparison reads no page.
+            std::vector<Value> keys;
+            keys.reserve(matched.size());
+            for (std::size_t r : matched) {
+                keys.push_back(PlainCell(table, r, order_col));
+            }
+            std::vector<std::size_t> sorted;
+            sorted.reserve(matched.size());
+            for (std::size_t i :
+                 StableSortOrder(keys, stmt.order_by->descending)) {
+                sorted.push_back(matched[i]);
+            }
+            matched = std::move(sorted);
+        }
+        if (stmt.top.has_value() && matched.size() > *stmt.top) {
+            matched.resize(*stmt.top);
+        }
+        result.rows.reserve(matched.size());
+        for (std::size_t r : matched) {
+            result.rows.push_back(project(r));
+        }
     }
     result.message = StrFormat("%zu row(s)", result.rows.size());
     return result;
@@ -475,6 +593,10 @@ PhysicalPlan::ExecuteScore(const Table& table) const
     std::vector<AggState> agg(stmt.aggregates.size());
     std::size_t matched = 0;
     std::vector<Value> sort_keys;
+    std::optional<TopKRows> top;
+    if (top_k_.has_value()) {
+        top.emplace(*top_k_, stmt.order_by->descending);
+    }
     ThresholdStats run_stats;
 
     // Per-batch processing of @p n rows: @p batch_feats holds their
@@ -622,28 +744,36 @@ PhysicalPlan::ExecuteScore(const Table& table) const
         }
 
         for (std::size_t j = 0; j < live.size(); ++j) {
-            std::vector<Value> row;
-            row.reserve(proj.size());
-            for (const ProjItem& item : proj) {
-                if (item.is_score) {
-                    row.push_back(
-                        static_cast<double>(vals[item.index][j]));
-                } else {
-                    row.push_back(column_value(live[j], item.index));
+            auto build_row = [&] {
+                std::vector<Value> row;
+                row.reserve(proj.size());
+                for (const ProjItem& item : proj) {
+                    if (item.is_score) {
+                        row.push_back(
+                            static_cast<double>(vals[item.index][j]));
+                    } else {
+                        row.push_back(column_value(live[j], item.index));
+                    }
                 }
+                return row;
+            };
+            if (!stmt.order_by.has_value()) {
+                result.rows.push_back(build_row());
+                if (stmt.top.has_value() &&
+                    result.rows.size() >= *stmt.top) {
+                    return false;  // enough rows, stop scanning
+                }
+                continue;
             }
-            result.rows.push_back(std::move(row));
-            if (stmt.order_by.has_value()) {
-                if (logical_.order_score.has_value()) {
-                    sort_keys.push_back(static_cast<double>(
-                        vals[*logical_.order_score][j]));
-                } else {
-                    sort_keys.push_back(
-                        column_value(live[j], order_col));
-                }
-            } else if (stmt.top.has_value() &&
-                       result.rows.size() >= *stmt.top) {
-                return false;  // enough rows, stop scanning
+            Value key = logical_.order_score.has_value()
+                            ? Value(static_cast<double>(
+                                  vals[*logical_.order_score][j]))
+                            : column_value(live[j], order_col);
+            if (top.has_value()) {
+                top->Offer(std::move(key), build_row);
+            } else {
+                result.rows.push_back(build_row());
+                sort_keys.push_back(std::move(key));
             }
         }
         return true;
@@ -746,19 +876,13 @@ PhysicalPlan::ExecuteScore(const Table& table) const
         return result;
     }
 
-    if (stmt.order_by.has_value()) {
-        const bool desc = stmt.order_by->descending;
-        std::vector<std::size_t> perm(result.rows.size());
-        std::iota(perm.begin(), perm.end(), std::size_t{0});
-        std::stable_sort(perm.begin(), perm.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             int cmp = CompareValues(sort_keys[a],
-                                                     sort_keys[b]);
-                             return desc ? cmp > 0 : cmp < 0;
-                         });
+    if (top.has_value()) {
+        result.rows = top->Take();
+    } else if (stmt.order_by.has_value()) {
         std::vector<std::vector<Value>> sorted;
         sorted.reserve(result.rows.size());
-        for (std::size_t i : perm) {
+        for (std::size_t i :
+             StableSortOrder(sort_keys, stmt.order_by->descending)) {
             sorted.push_back(std::move(result.rows[i]));
         }
         result.rows = std::move(sorted);
@@ -882,6 +1006,10 @@ PhysicalPlan::ExplainPhysical() const
     if (fused_aggregate_) {
         lines.push_back(
             "aggregate: fused into the streaming scoring loop");
+    }
+    if (top_k_.has_value()) {
+        lines.push_back(
+            StrFormat("sort: top-k heap of %zu row(s)", *top_k_));
     }
     const ThresholdStats stats = threshold_stats();
     if (stats.rows > 0) {

@@ -23,6 +23,9 @@
  *    when the rewriter pushed the threshold down), and fold fused
  *    aggregates into the loop without materializing a score column.
  *
+ * A fused TOP k ... ORDER BY (either path) keeps k rows in a bounded
+ * heap instead of projecting and stable-sorting every matched row.
+ *
  * Executing a rewritten plan is bit-identical to executing the naive
  * plan of the same statement: pruning/pushdown/fusion change how much
  * work runs, never the result (DESIGN.md §14).
@@ -148,6 +151,8 @@ class PhysicalPlan {
     std::optional<storage::ScanPredicate> zone_predicate_;
     bool scan_pruned_ = false;
     bool fused_aggregate_ = false;
+    /** k of a fused Sort+Limit's bounded heap (rewrite Rule 4). */
+    std::optional<std::size_t> top_k_;
 
     mutable std::mutex stats_mutex_;
     mutable ThresholdStats threshold_stats_;

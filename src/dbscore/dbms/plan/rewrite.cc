@@ -200,21 +200,35 @@ FuseScoreAggregates(LogicalPlan& plan)
     plan.applied_rules.push_back(rule.str());
 }
 
+/**
+ * Rule 4: TOP k over ORDER BY runs as one bounded top-k heap (plain
+ * and scored plans alike). TOP 0 stays unfused: it keeps no row, yet
+ * the full sort still compares keys (and throws on incomparable ones).
+ */
+void
+FuseSortLimit(LogicalPlan& plan)
+{
+    LogicalOp* sort = plan.Find(LogicalOpKind::kSort);
+    if (sort == nullptr || sort->fused ||
+        plan.Find(LogicalOpKind::kLimit) == nullptr ||
+        *plan.stmt.top == 0) {
+        return;
+    }
+    sort->fused = true;
+    plan.applied_rules.push_back(
+        StrFormat("sort-limit-fusion(top-k heap of %zu)", *plan.stmt.top));
+}
+
 }  // namespace
 
 void
-RewritePlan(LogicalPlan& plan, const RewriteOptions& options)
+RewritePlan(LogicalPlan& plan)
 {
-    if (options.prune_columns) {
-        PruneColumns(plan);
-    }
-    if (options.push_predicates) {
-        PushZonePredicate(plan);
-        PushScoreThresholds(plan);
-    }
-    if (options.fuse_aggregates) {
-        FuseScoreAggregates(plan);
-    }
+    PruneColumns(plan);
+    PushZonePredicate(plan);
+    PushScoreThresholds(plan);
+    FuseScoreAggregates(plan);
+    FuseSortLimit(plan);
 }
 
 }  // namespace dbscore::plan

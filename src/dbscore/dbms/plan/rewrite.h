@@ -1,6 +1,6 @@
 /**
  * @file
- * Rule-based logical-plan rewriter: the three SQL+ML co-optimizations
+ * Rule-based logical-plan rewriter: the four SQL+ML co-optimizations
  * EXEC sp_explain reports and bench/wallclock_query measures.
  *
  *  1. column-pruning — the scan produces only the columns the query
@@ -21,6 +21,11 @@
  *     (AVG(SCORE(...)), COUNT(*) WHERE SCORE(...) > t) fold into the
  *     chunk-streaming scoring loop without materializing a score
  *     column.
+ *  4. sort-limit-fusion — TOP k with ORDER BY keeps only the k rows
+ *     that sort first, in a bounded heap, instead of sorting every
+ *     matched row and cutting to k; a row's projected values are
+ *     built only when it enters the heap. Ties keep scan order, so
+ *     the result equals the stable full sort's first k rows.
  *
  * Every applied rule appends a human-readable entry to
  * LogicalPlan::applied_rules. Rules only annotate the plan; executing
@@ -33,15 +38,11 @@
 
 namespace dbscore::plan {
 
-/** Per-rule enables (all on by default; the naive planner uses none). */
-struct RewriteOptions {
-    bool prune_columns = true;
-    bool push_predicates = true;
-    bool fuse_aggregates = true;
-};
-
-/** Applies the enabled rewrite rules to @p plan in place. */
-void RewritePlan(LogicalPlan& plan, const RewriteOptions& options = {});
+/**
+ * Applies every rewrite rule to @p plan in place (the naive planner,
+ * PlannerOptions::optimize = false, applies none).
+ */
+void RewritePlan(LogicalPlan& plan);
 
 }  // namespace dbscore::plan
 

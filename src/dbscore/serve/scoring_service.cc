@@ -148,10 +148,8 @@ ScoringService::Stop()
         reply.status = RequestStatus::kRejected;
         reply.finish = r.request.arrival.value_or(SimTime());
         reply.error = "service stopped before Start";
-        const SimTime finish = reply.finish;
         stats_.RecordRejected(kClass, /*quota=*/false);
-        r.handle->Fulfill(std::move(reply));
-        SettleOne(finish);
+        Settle(*r.handle, std::move(reply));
     }
 
     std::lock_guard<std::mutex> lock(admission_mutex_);
@@ -170,10 +168,10 @@ ScoringService::StampArrival(const std::optional<SimTime>& arrival)
 {
     // Caller holds admission_mutex_.
     if (arrival.has_value()) {
-        modeled_now_ = Max(modeled_now_, *arrival);
+        AdvanceModeledClock(*arrival);
         return *arrival;
     }
-    return modeled_now_;
+    return modeled_now_.load();
 }
 
 PendingScorePtr
@@ -303,13 +301,22 @@ ScoringService::ExportTrace(std::ostream& os) const
 }
 
 void
-ScoringService::SettleOne(SimTime finish)
+ScoringService::AdvanceModeledClock(SimTime t)
 {
+    SimTime now = modeled_now_.load();
+    while (now < t && !modeled_now_.compare_exchange_weak(now, t)) {
+    }
+}
+
+void
+ScoringService::Settle(PendingScore& handle, ScoreReply reply)
+{
+    AdvanceModeledClock(reply.finish);
+    handle.Fulfill(std::move(reply));
     {
         std::lock_guard<std::mutex> lock(admission_mutex_);
         DBS_ASSERT(in_flight_ > 0);
         --in_flight_;
-        modeled_now_ = Max(modeled_now_, finish);
     }
     settled_cv_.notify_all();
 }
@@ -368,8 +375,7 @@ ScoringService::DispatcherLoop()
             reply.error = "service stopped before dispatch";
             stats_.RecordFailed(kClass, arrival, arrival);
             EmitRequestSpan(m, arrival, arrival, /*expired=*/false);
-            m.handle->Fulfill(std::move(reply));
-            SettleOne(arrival);
+            Settle(*m.handle, std::move(reply));
         }
     }
     {
@@ -585,8 +591,7 @@ ScoringService::ExecuteBatch(std::size_t d, Batch& batch, BackendKind kind,
             stats_.RecordFailed(kClass, arrival, dm.failed_at);
         }
         EmitRequestSpan(m, arrival, dm.failed_at, expired);
-        m.handle->Fulfill(std::move(reply));
-        SettleOne(dm.failed_at);
+        Settle(*m.handle, std::move(reply));
     }
     if (!out.completed) {
         tracer.Drain();
@@ -666,12 +671,8 @@ ScoringService::ExecuteBatch(std::size_t d, Batch& batch, BackendKind kind,
         stats_.RecordCompleted(kClass, arrival, out.finish, t.latency,
                                out.degraded, /*deadline_miss=*/false);
         EmitRequestSpan(m, arrival, out.finish, /*expired=*/false);
-        {
-            trace::ScopedSpan fulfill(StageKind::kReply, "fulfill",
-                                      m.trace);
-            m.handle->Fulfill(std::move(reply));
-        }
-        SettleOne(out.finish);
+        trace::ScopedSpan fulfill(StageKind::kReply, "fulfill", m.trace);
+        Settle(*m.handle, std::move(reply));
     }
 
     // Keep the per-thread rings far from overflow under sustained

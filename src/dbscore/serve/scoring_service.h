@@ -24,6 +24,7 @@
 #define DBSCORE_SERVE_SCORING_SERVICE_H
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -178,8 +179,16 @@ class ScoringService {
     /** Emits a request's root span (dual clock: submit->now wall, arrival->finish sim). */
     void EmitRequestSpan(const PendingRequest& request, SimTime arrival,
                          SimTime finish, bool expired) const;
-    /** Marks one admitted request terminal; advances the modeled clock. */
-    void SettleOne(SimTime finish);
+    /**
+     * Marks one admitted request terminal: advances the modeled clock
+     * to the reply's finish, fulfils @p handle, then releases its
+     * in-flight slot, so a caller that submits again once Wait()
+     * returns is stamped no earlier than that finish, and Drain()
+     * still implies every handle is fulfilled.
+     */
+    void Settle(PendingScore& handle, ScoreReply reply);
+    /** Raises the modeled clock to @p t (lock-free compare-and-swap). */
+    void AdvanceModeledClock(SimTime t);
     SimTime StampArrival(const std::optional<SimTime>& arrival);
 
     HardwareProfile profile_;
@@ -194,8 +203,9 @@ class ScoringService {
     std::deque<PendingRequest> admission_;
     /** Admitted but not yet settled (for capacity accounting). */
     std::size_t in_flight_ = 0;
-    /** Monotonic modeled clock for unstamped (live) arrivals. */
-    SimTime modeled_now_;
+    /** Monotonic modeled clock for unstamped (live) arrivals; atomic
+     * so settling a request takes no lock beyond its in-flight slot. */
+    std::atomic<SimTime> modeled_now_{SimTime()};
     bool stop_requested_ = false;
     bool running_ = false;
     bool dispatcher_done_ = false;

@@ -1,7 +1,5 @@
 #include "dbscore/storage/buffer_pool.h"
 
-#include <limits>
-
 #include "dbscore/common/error.h"
 #include "dbscore/common/string_util.h"
 #include "dbscore/trace/trace.h"
@@ -80,8 +78,11 @@ BufferPool::BufferPool(Pager& pager, const Options& options) : pager_(pager)
     // Frame storage is allocated up front and never resized, so frame
     // addresses stay stable for the lifetime of the pool — live
     // PageHandles (and RowViews aliasing them) never see memory move.
-    for (Frame& frame : frames_) {
-        frame.data.assign(pager_.page_size(), 0);
+    for (std::size_t i = 0; i < frames_.size(); ++i) {
+        frames_[i].data.assign(pager_.page_size(), 0);
+        frames_[i].index_node =
+            evictable_.extract(evictable_.emplace(0, i).first);
+        free_frames_.insert(free_frames_.end(), i);
     }
     resident_.reserve(options.capacity_pages);
 }
@@ -130,37 +131,48 @@ BufferPool::~BufferPool()
 std::size_t
 BufferPool::AcquireFrameLocked(std::uint32_t page_id)
 {
-    // Prefer a never-used frame, else evict the LRU unpinned one.
-    std::size_t victim = frames_.size();
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < frames_.size(); ++i) {
-        const Frame& frame = frames_[i];
-        if (!frame.used) {
-            victim = i;
-            oldest = 0;
-            break;
+    // Prefer the lowest-index free frame, else evict the LRU unpinned
+    // one.
+    std::size_t victim = 0;
+    if (!free_frames_.empty()) {
+        victim = *free_frames_.begin();
+        free_frames_.erase(free_frames_.begin());
+    } else {
+        // An entry's tick never exceeds its frame's lru_tick, so once
+        // the front entry is unpinned and current, no unpinned frame
+        // was pinned earlier. Each re-key pays for an earlier hit, each
+        // dropped pinned entry for its later re-entry at unpin.
+        while (true) {
+            if (evictable_.empty()) {
+                throw CapacityError(
+                    StrFormat("buffer pool: all %zu frames pinned while "
+                              "pinning page %u — pool too small for the "
+                              "working set",
+                              frames_.size(), page_id));
+            }
+            victim = evictable_.begin()->second;
+            const Frame& front = frames_[victim];
+            if (front.pins == 0 && front.index_tick == front.lru_tick) {
+                break;
+            }
+            UnindexLocked(victim);
+            if (front.pins == 0) {
+                IndexLocked(victim);
+            }
         }
-        if (frame.pins == 0 && frame.lru_tick < oldest) {
-            victim = i;
-            oldest = frame.lru_tick;
-        }
-    }
-    if (victim == frames_.size()) {
-        throw CapacityError(
-            StrFormat("buffer pool: all %zu frames pinned while pinning "
-                      "page %u — pool too small for the working set",
-                      frames_.size(), page_id));
-    }
-    Frame& frame = frames_[victim];
-    if (frame.used) {
+        Frame& frame = frames_[victim];
         if (frame.dirty) {
+            // A throwing write-back leaves the victim resident, dirty
+            // and indexed, so a later miss can still evict it.
             pager_.Write(frame.page_id, frame.data.data());
             frame.dirty = false;
             ++stats_.write_backs;
         }
+        UnindexLocked(victim);
         resident_.erase(frame.page_id);
         ++stats_.evictions;
     }
+    Frame& frame = frames_[victim];
     frame.used = true;
     frame.dirty = false;
     frame.page_id = page_id;
@@ -200,6 +212,7 @@ BufferPool::Pin(std::uint32_t page_id)
         --frame.pins;
         frame.used = false;
         resident_.erase(page_id);
+        free_frames_.insert(frame_index);
         throw;
     }
     tracer.EmitWall(trace::StageKind::kBufferPool, "pool-miss",
@@ -218,7 +231,28 @@ BufferPool::Unpin(std::size_t frame_index)
     std::lock_guard<std::mutex> lock(mutex_);
     Frame& frame = frames_[frame_index];
     DBS_ASSERT_MSG(frame.pins > 0, "unpin of an unpinned frame");
-    --frame.pins;
+    // A frame out of the index (just filled, or dropped pinned by a
+    // victim search) re-enters it; an indexed one keeps its entry.
+    if (--frame.pins == 0 && !frame.index_node.empty()) {
+        IndexLocked(frame_index);
+    }
+}
+
+void
+BufferPool::IndexLocked(std::size_t frame_index)
+{
+    Frame& frame = frames_[frame_index];
+    frame.index_tick = frame.lru_tick;
+    frame.index_node.value() = {frame.index_tick, frame_index};
+    evictable_.insert(std::move(frame.index_node));
+}
+
+void
+BufferPool::UnindexLocked(std::size_t frame_index)
+{
+    Frame& frame = frames_[frame_index];
+    frame.index_node = evictable_.extract({frame.index_tick, frame_index});
+    DBS_ASSERT_MSG(!frame.index_node.empty(), "frame was not indexed");
 }
 
 void
@@ -261,6 +295,8 @@ BufferPool::Invalidate(std::uint32_t page_id)
     DBS_ASSERT_MSG(frame.pins == 0, "invalidating a pinned page");
     frame.used = false;
     frame.dirty = false;
+    UnindexLocked(it->second);
+    free_frames_.insert(it->second);
     resident_.erase(it);
 }
 

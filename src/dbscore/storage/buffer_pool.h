@@ -7,8 +7,11 @@
  * frame memory stays valid (and is never evicted or overwritten) for
  * the handle's lifetime, so the zero-copy RowBlock/RowView machinery
  * from PR 3 can point straight into pool frames. Unpinned frames form
- * an LRU; filling a frame for a miss evicts the least-recently-used
- * unpinned frame, writing it back first when dirty.
+ * an LRU; filling a frame for a miss takes the lowest-index frame that
+ * holds no page, else evicts the least-recently-pinned unpinned frame,
+ * writing it back first when dirty. Two ordered indexes find that
+ * victim in amortized O(log frames) instead of a scan of every frame
+ * under the pool mutex, and a hit touches neither (DESIGN.md §12).
  *
  * Invariants (tested in tests/storage_test.cc):
  *  - a pinned frame is never evicted; pinning more distinct pages than
@@ -38,7 +41,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dbscore/storage/pager.h"
@@ -163,24 +168,48 @@ class BufferPool {
  private:
     friend class PageHandle;
 
+    /** (index tick, frame index) entries; see evictable_. */
+    using EvictableIndex = std::set<std::pair<std::uint64_t, std::size_t>>;
+
     struct Frame {
         std::vector<std::uint8_t> data;
         std::uint32_t page_id = 0;
         std::uint64_t lru_tick = 0;
+        /** Tick of this frame's evictable_ entry; <= lru_tick, since a
+         * hit moves only lru_tick. */
+        std::uint64_t index_tick = 0;
         int pins = 0;
         bool used = false;
         bool dirty = false;
+        /** The entry's tree node while the frame is out of evictable_
+         * (empty while in it), so re-entry allocates nothing. */
+        EvictableIndex::node_type index_node;
     };
 
     void Unpin(std::size_t frame_index);
     void MarkDirty(std::size_t frame_index);
     /** Picks a frame for @p page_id, evicting if needed (locked). */
     std::size_t AcquireFrameLocked(std::uint32_t page_id);
+    /** Enters frame @p frame_index into evictable_ at its lru_tick, or
+     * takes it out (locked). */
+    void IndexLocked(std::size_t frame_index);
+    void UnindexLocked(std::size_t frame_index);
 
     Pager& pager_;
     mutable std::mutex mutex_;
     std::vector<Frame> frames_;
     std::unordered_map<std::uint32_t, std::size_t> resident_;
+    /**
+     * Holds every unpinned used frame (and pinned ones not yet met at
+     * the front), keyed by a tick that may lag the frame's lru_tick: a
+     * hit touches no tree. The victim search re-keys or drops stale
+     * entries it meets at begin(), so the first current unpinned entry
+     * is the least-recently-pinned unpinned frame.
+     */
+    EvictableIndex evictable_;
+    /** Frames holding no page (never filled, failed fill, invalidated);
+     * begin() is the lowest index, the first victim. */
+    std::set<std::size_t> free_frames_;
     std::uint64_t lru_clock_ = 0;
     BufferPoolStats stats_;
 };

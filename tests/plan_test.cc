@@ -414,6 +414,16 @@ ExpectSameResult(const QueryResult& a, const QueryResult& b,
     }
 }
 
+/** True when sp_explain of @p plan shows a fused top-k heap of @p k. */
+bool
+ExplainsTopKHeap(const plan::PhysicalPlan& plan, std::size_t k)
+{
+    const std::vector<std::string> lines = plan.ExplainPhysical();
+    return std::find(lines.begin(), lines.end(),
+                     StrFormat("sort: top-k heap of %zu row(s)", k)) !=
+           lines.end();
+}
+
 TEST_F(PlanTest, TopWithoutOrderByStopsWithinTwiceItsPages)
 {
     const std::shared_ptr<storage::PagedTable>& store =
@@ -564,6 +574,185 @@ TEST_F(PlanTest, CrossPageBatchesMatchNaiveAcrossBatchBoundaries)
                                          batch_rows)) != std::string::npos;
     }
     EXPECT_TRUE(explained);
+}
+
+TEST_F(PlanTest, SortLimitFusionOnlyForTopWithOrderBy)
+{
+    plan::Planner naive(db_, {/*optimize=*/false});
+    plan::Planner optimized(db_, {/*optimize=*/true});
+    for (const char* table : {"mem", "paged"}) {
+        const std::string t = table;
+        // Fused: TOP k with ORDER BY, scored and plain alike.
+        for (const std::string& sql :
+             {"SELECT TOP 7 kin_0, SCORE(m) FROM " + t +
+                  " ORDER BY SCORE(m) DESC",
+              "SELECT TOP 7 kin_0 FROM " + t + " ORDER BY kin_1"}) {
+            const auto fused = optimized.PlanQuery(sql);
+            EXPECT_TRUE(ExplainsTopKHeap(*fused, 7)) << sql;
+            const std::vector<std::string>& rules =
+                fused->logical().applied_rules;
+            EXPECT_NE(std::find(rules.begin(), rules.end(),
+                                "sort-limit-fusion(top-k heap of 7)"),
+                      rules.end())
+                << sql;
+            EXPECT_NE(fused->logical().ToString().find("[top-k]"),
+                      std::string::npos)
+                << sql;
+            // The naive plan of the same statement sorts every row.
+            for (const std::string& line :
+                 naive.PlanQuery(sql)->ExplainPhysical()) {
+                EXPECT_EQ(line.find("top-k"), std::string::npos) << sql;
+            }
+        }
+        // Unfused: ORDER BY alone, TOP alone, TOP 0, aggregates.
+        for (const std::string& sql :
+             {"SELECT kin_0, SCORE(m) FROM " + t + " ORDER BY SCORE(m)",
+              "SELECT TOP 7 kin_0, SCORE(m) FROM " + t,
+              "SELECT TOP 0 kin_0, SCORE(m) FROM " + t +
+                  " ORDER BY SCORE(m)",
+              "SELECT TOP 7 COUNT(*) FROM " + t + " ORDER BY kin_0"}) {
+            const auto plan = optimized.PlanQuery(sql);
+            for (const std::string& line : plan->ExplainPhysical()) {
+                EXPECT_EQ(line.find("top-k"), std::string::npos) << sql;
+            }
+            for (const std::string& rule : plan->logical().applied_rules) {
+                EXPECT_EQ(rule.find("sort-limit-fusion"), std::string::npos)
+                    << sql;
+            }
+            ExpectRewriteInvariant(db_, sql);
+        }
+    }
+}
+
+TEST_F(PlanTest, FusedTopKMatchesNaiveFullSort)
+{
+    // Three depth-1 trees vote in thirds: at most four distinct scores
+    // over 600 rows, so nearly every kept row ties with a dropped one.
+    ForestTrainerConfig stump_config;
+    stump_config.num_trees = 3;
+    stump_config.max_depth = 1;
+    stump_config.seed = 5;
+    db_.StoreModel("stump", TreeEnsemble::FromForest(
+                                TrainForest(data_, stump_config)));
+    {
+        const std::string sql = "SELECT SCORE(stump) FROM mem";
+        const QueryResult scores =
+            plan::Planner(db_).ExecuteSelect(ParseSelect(sql), sql);
+        std::vector<Value> distinct;
+        for (const std::vector<Value>& row : scores.rows) {
+            if (std::find(distinct.begin(), distinct.end(), row[0]) ==
+                distinct.end()) {
+                distinct.push_back(row[0]);
+            }
+        }
+        ASSERT_GE(distinct.size(), 2u);
+        ASSERT_LE(distinct.size(), 4u);
+    }
+
+    std::vector<float> kin0;
+    for (std::size_t r = 0; r < data_.num_rows(); ++r) {
+        kin0.push_back(data_.At(r, 0));
+    }
+    std::sort(kin0.begin(), kin0.end());
+    const std::string cut =
+        StrFormat("%.9g", static_cast<double>(kin0[kin0.size() * 3 / 4]));
+
+    // Each shape is built per (k, direction, table, kin_0 cut).
+    const std::vector<std::string (*)(std::size_t, const std::string&,
+                                      const std::string&, const std::string&)>
+        shapes = {
+            // Heavy ties on the sort key.
+            [](std::size_t k, const std::string& dir, const std::string& t,
+               const std::string&) {
+                return StrFormat("SELECT TOP %zu kin_0, SCORE(stump) FROM "
+                                 "%s ORDER BY SCORE(stump) %s",
+                                 k, t.c_str(), dir.c_str());
+            },
+            // Zone-pruned WHERE and a projected label column.
+            [](std::size_t k, const std::string& dir, const std::string& t,
+               const std::string& c) {
+                return StrFormat("SELECT TOP %zu SCORE(m), label FROM %s "
+                                 "WHERE kin_0 > %s ORDER BY SCORE(m) %s",
+                                 k, t.c_str(), c.c_str(), dir.c_str());
+            },
+            // ORDER BY a plain column with SCORE in the select list.
+            [](std::size_t k, const std::string& dir, const std::string& t,
+               const std::string&) {
+                return StrFormat("SELECT TOP %zu SCORE(m), kin_1 FROM %s "
+                                 "ORDER BY kin_1 %s",
+                                 k, t.c_str(), dir.c_str());
+            },
+            // Two SCOREs, sorted by the tied one.
+            [](std::size_t k, const std::string& dir, const std::string& t,
+               const std::string&) {
+                return StrFormat("SELECT TOP %zu SCORE(m), SCORE(stump) "
+                                 "FROM %s ORDER BY SCORE(stump) %s",
+                                 k, t.c_str(), dir.c_str());
+            },
+            // A plain statement (no SCORE), ties on the label.
+            [](std::size_t k, const std::string& dir, const std::string& t,
+               const std::string&) {
+                return StrFormat("SELECT TOP %zu kin_0, label FROM %s "
+                                 "WHERE kin_2 > 0 ORDER BY label %s",
+                                 k, t.c_str(), dir.c_str());
+            },
+        };
+
+    // Runs @p shape_ids of the shapes for every k in {1, 7, rows - 1,
+    // rows, rows + 5} and each direction in @p dirs on the twins @p mem
+    // and @p paged (@p rows rows each, kin_0 cut @p c): each fused plan
+    // equals its naive plan, and the paged twin equals the in-memory one.
+    plan::Planner naive(db_, {/*optimize=*/false});
+    plan::Planner optimized(db_, {/*optimize=*/true});
+    auto check = [&](const std::string& mem, const std::string& paged,
+                     std::size_t rows, const std::string& c,
+                     const std::vector<std::size_t>& shape_ids,
+                     const std::vector<std::string>& dirs) {
+        for (const std::size_t k :
+             {std::size_t{1}, std::size_t{7}, rows - 1, rows, rows + 5}) {
+            for (const std::string& dir : dirs) {
+                for (const std::size_t id : shape_ids) {
+                    const std::string mem_sql = shapes[id](k, dir, mem, c);
+                    const std::string sql = shapes[id](k, dir, paged, c);
+                    const auto fused = optimized.PlanQuery(sql);
+                    ASSERT_TRUE(ExplainsTopKHeap(*fused, k)) << sql;
+                    const QueryResult got = fused->Execute(db_);
+                    ExpectSameResult(naive.PlanQuery(sql)->Execute(db_), got,
+                                     sql);
+                    const QueryResult mem_got =
+                        optimized.PlanQuery(mem_sql)->Execute(db_);
+                    ExpectSameResult(
+                        naive.PlanQuery(mem_sql)->Execute(db_), mem_got,
+                        mem_sql);
+                    EXPECT_EQ(mem_got.rows, got.rows) << sql;
+                }
+            }
+        }
+    };
+    check("mem", "paged", data_.num_rows(), cut, {0, 1, 2, 3, 4},
+          {"ASC", "DESC"});
+
+    // A paged table larger than one cross-page batch: the heap spans
+    // batches, and zone pruning skips pages inside them.
+    const std::size_t batch_rows =
+        optimized.PlanQuery("SELECT SCORE(m) FROM paged")->ScanBatchRows();
+    const std::size_t rows = std::min<std::size_t>(batch_rows + 5, 20005);
+    const Dataset big = MakeHiggs(rows, 29);
+    db_.StoreDataset("big_mem", big);
+    storage::StorageOptions options;
+    options.page_size = 1024;
+    options.pool_pages = 4;
+    db_.StoreDatasetPaged("big", big, (dir_ / "big.dbpages").string(),
+                          options);
+    std::vector<float> big_kin0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        big_kin0.push_back(big.At(r, 0));
+    }
+    std::sort(big_kin0.begin(), big_kin0.end());
+    const std::string big_cut =
+        StrFormat("%.9g", static_cast<double>(big_kin0[rows / 2]));
+    check("big_mem", "big", rows, big_cut, {0}, {"DESC"});
+    check("big_mem", "big", rows, big_cut, {1}, {"ASC"});
 }
 
 TEST_F(PlanTest, ScoreMatchesReferencePredictions)

@@ -443,6 +443,44 @@ TEST(ScoringServiceTest, DeadlineExpiryIsCounted)
     service->Stop();
 }
 
+TEST(ScoringServiceTest, SyncResubmitIsStampedAfterPreviousFinish)
+{
+    // A synchronous caller submits unstamped (live) requests one after
+    // another: each is stamped from the modeled clock, which must
+    // already include the previous reply's finish when Wait() returns.
+    ServiceConfig config;
+    config.coalescer.window = SimTime();  // dispatch each request alone
+    auto service = Fixture().Service(config);
+    service->Start();
+
+    // Start the clock far from zero: finish - latency then recovers a
+    // reply's arrival exactly (finish <= 2 * arrival, Sterbenz).
+    ScoreRequest first;
+    first.model_id = "m";
+    first.num_rows = 64;
+    first.arrival = SimTime::Seconds(1000.0);
+    SimTime prev_finish = service->ScoreSync(first).finish;
+    for (int i = 0; i < 64; ++i) {
+        ScoreRequest r;
+        r.model_id = "m";
+        r.num_rows = 16 + 64 * static_cast<std::size_t>(i % 5);
+        // Poll instead of blocking in Wait(): the caller sees the reply
+        // the moment it is fulfilled and submits again at once, racing
+        // whatever the worker still does after fulfilling.
+        const PendingScorePtr handle = service->Submit(std::move(r));
+        while (!handle->ready()) {
+            std::this_thread::yield();
+        }
+        const ScoreReply reply = handle->Wait();
+        ASSERT_EQ(reply.status, RequestStatus::kCompleted);
+        const SimTime arrival = reply.finish - reply.timing.latency;
+        ASSERT_GE(arrival.seconds(), prev_finish.seconds())
+            << "request " << i << " stamped before the previous finish";
+        prev_finish = reply.finish;
+    }
+    service->Stop();
+}
+
 // ----------------------------------------- coalescing under high load --
 
 ServiceSnapshot

@@ -11,8 +11,10 @@
  *    portable backends agreeing, and every single-bit flip in a page
  *    caught;
  *  - BufferPool: hit/miss accounting, LRU eviction order, the
- *    pinned-never-evicted invariant (CapacityError instead), and dirty
- *    write-back round-trips through eviction;
+ *    pinned-never-evicted invariant (CapacityError instead), dirty
+ *    write-back round-trips through eviction, victims and counters
+ *    equal to a linear-scan reference model over random sequences,
+ *    and a write-back that throws mid-eviction;
  *  - PagedTable: append/scan round-trips, persistence across
  *    Open(), zone-map pruning that provably reduces pages read, and
  *    zero-copy streaming (no RowBlock copy bytes after load);
@@ -30,11 +32,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -389,6 +394,206 @@ TEST_F(BufferPoolTest, DirtyFrameRoundTripsThroughEviction)
     EXPECT_EQ(back.payload()[0], 0x7E);
     EXPECT_EQ(back.payload()[15], 0x7E);
     EXPECT_EQ(storage::HeaderOf(back.data())->payload_bytes, 16u);
+}
+
+/**
+ * Reference model of the pool's bookkeeping with the linear victim
+ * scan: the lowest-index frame holding no page, else the unpinned
+ * frame pinned least recently. Tracks each page's first payload byte
+ * on disk and in its frame, and the counters BufferPoolStats keeps.
+ */
+struct PoolModel {
+    struct Frame {
+        std::uint32_t page = 0;
+        std::uint64_t tick = 0;
+        int pins = 0;
+        bool used = false;
+        bool dirty = false;
+        std::uint8_t byte = 0;
+    };
+
+    PoolModel(std::size_t capacity, std::size_t pages)
+        : frames(capacity), disk(pages + 1, 0)
+    {
+    }
+
+    std::optional<std::size_t>
+    Resident(std::uint32_t page) const
+    {
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            if (frames[i].used && frames[i].page == page) {
+                return i;
+            }
+        }
+        return std::nullopt;
+    }
+
+    /** The frame Pin(@p page) lands in; nullopt: CapacityError. */
+    std::optional<std::size_t>
+    Pin(std::uint32_t page)
+    {
+        if (const std::optional<std::size_t> hit = Resident(page)) {
+            ++frames[*hit].pins;
+            frames[*hit].tick = ++clock;
+            ++stats.hits;
+            return hit;
+        }
+        ++stats.misses;
+        std::size_t victim = frames.size();
+        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            if (!frames[i].used) {
+                victim = i;
+                break;
+            }
+            if (frames[i].pins == 0 && frames[i].tick < oldest) {
+                victim = i;
+                oldest = frames[i].tick;
+            }
+        }
+        if (victim == frames.size()) {
+            return std::nullopt;
+        }
+        Frame& frame = frames[victim];
+        if (frame.used) {
+            if (frame.dirty) {
+                disk[frame.page] = frame.byte;
+                ++stats.write_backs;
+            }
+            ++stats.evictions;
+        }
+        frame = {page, ++clock, 1, true, false, disk[page]};
+        return victim;
+    }
+
+    std::vector<Frame> frames;
+    std::vector<std::uint8_t> disk;
+    std::uint64_t clock = 0;
+    storage::BufferPoolStats stats;
+};
+
+TEST_F(BufferPoolTest, VictimsMatchLinearScanModelOnRandomSequences)
+{
+    constexpr std::size_t kFrames = 6;
+    constexpr std::size_t kPages = 14;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        PoolFixture f(Path("t" + std::to_string(seed) + ".dbpages"),
+                      kFrames, kPages);
+        PoolModel model(kFrames, kPages);
+        // Frame memory never moves, so a handle's data() names its
+        // frame; each model frame learns its address on first fill.
+        std::vector<const std::uint8_t*> frame_data(kFrames, nullptr);
+        struct Held {
+            PageHandle handle;
+            std::size_t frame;
+        };
+        std::vector<Held> held;
+        Rng rng(seed);
+        std::uint8_t next_byte = 0;
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t op = rng.NextBelow(100);
+            const std::string where = "seed " + std::to_string(seed) +
+                                      " step " + std::to_string(step);
+            if (op < 45 || held.empty()) {
+                const auto page =
+                    static_cast<std::uint32_t>(1 + rng.NextBelow(kPages));
+                const std::optional<std::size_t> frame = model.Pin(page);
+                if (!frame.has_value()) {
+                    ASSERT_THROW(f.pool.Pin(page), CapacityError) << where;
+                } else {
+                    PageHandle h = f.pool.Pin(page);
+                    if (frame_data[*frame] == nullptr) {
+                        ASSERT_EQ(std::count(frame_data.begin(),
+                                             frame_data.end(), h.data()),
+                                  0)
+                            << where;
+                        frame_data[*frame] = h.data();
+                    }
+                    ASSERT_EQ(h.data(), frame_data[*frame])
+                        << where << ": page " << page << " landed in "
+                        << "another frame than the linear scan picks";
+                    ASSERT_EQ(h.page_id(), page) << where;
+                    ASSERT_EQ(h.payload()[0], model.frames[*frame].byte)
+                        << where;
+                    held.push_back({std::move(h), *frame});
+                }
+            } else if (op < 75) {
+                const std::size_t i = rng.NextBelow(held.size());
+                --model.frames[held[i].frame].pins;
+                held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+            } else if (op < 90) {
+                Held& h = held[rng.NextBelow(held.size())];
+                h.handle.MutablePayload()[0] = ++next_byte;
+                model.frames[h.frame].dirty = true;
+                model.frames[h.frame].byte = next_byte;
+            } else {
+                // Invalidate an unpinned page (resident or not).
+                const auto page =
+                    static_cast<std::uint32_t>(1 + rng.NextBelow(kPages));
+                const std::optional<std::size_t> frame = model.Resident(page);
+                if (frame.has_value() && model.frames[*frame].pins > 0) {
+                    continue;
+                }
+                f.pool.Invalidate(page);
+                if (frame.has_value()) {
+                    model.frames[*frame].used = false;
+                    model.frames[*frame].dirty = false;
+                }
+            }
+            const storage::BufferPoolStats got = f.pool.stats();
+            ASSERT_EQ(got.hits, model.stats.hits) << where;
+            ASSERT_EQ(got.misses, model.stats.misses) << where;
+            ASSERT_EQ(got.evictions, model.stats.evictions) << where;
+            ASSERT_EQ(got.write_backs, model.stats.write_backs) << where;
+            std::size_t resident = 0;
+            std::size_t pinned = 0;
+            for (const PoolModel::Frame& frame : model.frames) {
+                resident += frame.used ? 1 : 0;
+                pinned += frame.used && frame.pins > 0 ? 1 : 0;
+            }
+            ASSERT_EQ(f.pool.Resident(), resident) << where;
+            ASSERT_EQ(f.pool.PinnedFrames(), pinned) << where;
+        }
+        EXPECT_GT(model.stats.evictions, 0u);
+        EXPECT_GT(model.stats.write_backs, 0u);
+    }
+}
+
+TEST_F(BufferPoolTest, ThrowingWriteBackLeavesVictimEvictable)
+{
+    PoolFixture f(Path("t.dbpages"), 2, 3);
+    {
+        PageHandle h = f.pool.Pin(1);
+        h.MutablePayload()[0] = 0x5A;
+    }
+    { PageHandle h = f.pool.Pin(2); }  // page 1 is the LRU victim
+    {
+        fault::FaultPlan plan;
+        plan.seed = 3;
+        plan.At(fault::FaultSite::kStorageWrite).probability = 1.0;
+        fault::ScopedFaultPlan scoped(plan);
+        EXPECT_THROW(f.pool.Pin(3), fault::FaultInjected);
+    }
+    // The write-back of page 1 tore: nothing was evicted, page 3 is not
+    // resident, and page 1 keeps its dirty bytes in its frame.
+    EXPECT_EQ(f.pool.stats().misses, 3u);
+    EXPECT_EQ(f.pool.stats().evictions, 0u);
+    EXPECT_EQ(f.pool.stats().write_backs, 0u);
+    EXPECT_EQ(f.pool.Resident(), 2u);
+    EXPECT_EQ(f.pool.PinnedFrames(), 0u);
+
+    // A torn write leaves the pager down until the file is reopened, so
+    // the next miss fails too, on the write-back of the same victim:
+    // had page 1 left the victim index, clean page 2 would be evicted.
+    EXPECT_THROW(f.pool.Pin(3), IoError);
+    EXPECT_EQ(f.pool.stats().evictions, 0u);
+    EXPECT_EQ(f.pool.Resident(), 2u);
+    {
+        PageHandle h = f.pool.Pin(1);
+        EXPECT_EQ(h.payload()[0], 0x5A);
+    }
+    { PageHandle h = f.pool.Pin(2); }
+    EXPECT_EQ(f.pool.stats().hits, 2u);
 }
 
 // ------------------------------------------------------ paged table --
